@@ -3,36 +3,41 @@
 Edge connectivity is taken on the underlying undirected multigraph: every
 directed edge contributes one undirected edge, so an antiparallel pair
 contributes two parallel edges and can never be severed by a single
-deletion.  Under that reading a bridge (a unidirectional edge whose removal
-disconnects the graph) is exactly a 1-edge cut, and word graphs are
-strongly connected precisely when no such cut exists.
+deletion.  Under that reading a bridge is an edge whose deletion increases
+the number of weak components, and word graphs are strongly connected
+precisely when they have none.
+
+`bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
+is a separate derivation by s-t max flows and never consults `bridges`, so
+each can check the other.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Mapping
 
-from .graphs import Digraph
+from .graphs import Digraph, _edge_key, _sort_key
 
 
 class EmptyGraphError(ValueError):
     """Connectivity is undefined on an empty vertex set."""
 
 
-def _sort_key(label: Hashable):
-    return (type(label).__name__, label)
+def _require_vertices(graph: Digraph) -> None:
+    if not graph.vertices:
+        raise EmptyGraphError("graph has no vertices")
 
 
 def _sorted_vertices(graph: Digraph) -> list:
-    if not graph.vertices:
-        raise EmptyGraphError("graph has no vertices")
+    _require_vertices(graph)
     return sorted(graph.vertices, key=_sort_key)
 
 
 def _adjacency(graph: Digraph) -> dict:
     adj = {v: [] for v in graph.vertices}
-    for u, v in sorted(graph.edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1]))):
+    for u, v in sorted(graph.edges, key=_edge_key):
         adj[u].append(v)
     return adj
 
@@ -130,103 +135,105 @@ def weakly_connected(graph: Digraph) -> bool:
     return len(seen) == len(verts)
 
 
-def _weakly_connected_skipping(graph: Digraph, removed: tuple) -> bool:
-    """Weak connectivity after deleting one directed edge."""
-    verts = graph.vertices
-    und = {v: set() for v in verts}
-    for u, v in graph.edges:
-        if (u, v) == removed:
-            continue
-        und[u].add(v)
-        und[v].add(u)
-    start = next(iter(verts))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for w in und[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(verts)
-
-
 def bridges(graph: Digraph) -> list[tuple]:
-    """Unidirectional edges whose removal disconnects the graph, sorted.
+    """Edges whose deletion increases the number of weak components, sorted.
 
-    Remove-and-retest: slow but plain, and it doubles as the ground truth
-    for the 1-edge-connected case.
+    One iterative low-link DFS over the undirected incidence lists, O(V + E).
+    Every directed edge has its own id and the DFS skips only the id of the
+    tree edge it arrived by, so an antiparallel pair acts as two parallel
+    edges and is never a bridge.
     """
-    _sorted_vertices(graph)
+    _require_vertices(graph)
+    edges = list(graph.edges)
+    incident: dict = {v: [] for v in graph.vertices}
+    for i, (u, v) in enumerate(edges):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
+    disc: dict = {}
+    low: dict = {}
     out = []
-    for u, v in sorted(graph.edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1]))):
-        if (v, u) in graph.edges:
+    for root in graph.vertices:
+        if root in disc:
             continue
-        if not _weakly_connected_skipping(graph, (u, v)):
-            out.append((u, v))
-    return out
+        disc[root] = low[root] = len(disc)
+        work = [(root, -1, iter(incident[root]))]
+        while work:
+            v, via, neighbours = work[-1]
+            for w, i in neighbours:
+                if i == via:
+                    continue
+                if w in disc:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    disc[w] = low[w] = len(disc)
+                    work.append((w, i, iter(incident[w])))
+                    break
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] > disc[parent]:
+                        out.append(edges[via])
+    return sorted(out, key=_edge_key)
 
 
 def edge_connectivity(graph: Digraph) -> int | None:
     """Minimum deletions disconnecting the underlying multigraph; None for one vertex.
 
-    Zero for a weakly disconnected graph, one exactly when a bridge exists,
-    otherwise a global minimum cut computed by fixing a source and taking
-    the smallest max-flow to any other vertex.
+    Zero for a weakly disconnected graph.  Otherwise the minimum, over every
+    other vertex t, of the max flow from a fixed source to t, on sparse
+    residual capacities where an antiparallel pair has capacity 2.  Each flow
+    stops at the best cut found so far, which starts at the minimum
+    multidegree, and the search ends at 1, the least a weakly connected graph
+    can reach.  So the cost is O(V * lambda * (V + E)).
     """
     verts = _sorted_vertices(graph)
     if len(verts) == 1:
         return None
     if not weakly_connected(graph):
         return 0
-    if bridges(graph):
-        return 1
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    base = [[0] * n for _ in range(n)]
+    capacity: dict = {v: {} for v in verts}
     for u, v in graph.edges:
-        base[index[u]][index[v]] += 1
-        base[index[v]][index[u]] += 1
-    best = None
-    for t in range(1, n):
-        flow = _max_flow(base, 0, t)
-        if best is None or flow < best:
-            best = flow
+        capacity[u][v] = capacity[u].get(v, 0) + 1
+        capacity[v][u] = capacity[v].get(u, 0) + 1
+    best = min(sum(row.values()) for row in capacity.values())
+    source = verts[0]
+    for sink in verts[1:]:
+        if best == 1:
+            break
+        best = min(best, _max_flow(capacity, source, sink, best))
     return best
 
 
-def _max_flow(capacity: list[list[int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on a symmetric capacity matrix (copied, then mutated)."""
-    n = len(capacity)
-    residual = [row[:] for row in capacity]
+def _max_flow(capacity: dict, source, sink, limit: int) -> int:
+    """Edmonds-Karp on a copy of symmetric capacities, stopped once the flow reaches limit."""
+    residual = {u: dict(row) for u, row in capacity.items()}
     flow = 0
-    while True:
-        parent = [-1] * n
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            u = queue.pop(0)
-            row = residual[u]
-            for v in range(n):
-                if row[v] > 0 and parent[v] == -1:
+    while flow < limit:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
-        if parent[sink] == -1:
-            return flow
-        bottleneck = None
+        if sink not in parent:
+            break
+        path = []
         v = sink
         while v != source:
-            u = parent[v]
-            cap = residual[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck
-            v = u
         flow += bottleneck
+    return flow
 
 
 @dataclass(frozen=True)

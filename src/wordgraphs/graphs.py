@@ -84,7 +84,12 @@ def letter_labeled(graph: Digraph) -> Digraph:
 
 
 def _sort_key(label: Hashable):
+    """Total order on mixed-type labels: by type name, then by value."""
     return (type(label).__name__, label)
+
+
+def _edge_key(edge: tuple):
+    return (_sort_key(edge[0]), _sort_key(edge[1]))
 
 
 def _dot_id(label) -> str:
@@ -99,7 +104,7 @@ def to_dot(graph: Digraph) -> str:
     lines = ["digraph {"]
     for v in sorted(graph.vertices, key=_sort_key):
         lines.append(f"  {_dot_id(v)};")
-    for u, v in sorted(graph.edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1]))):
+    for u, v in sorted(graph.edges, key=_edge_key):
         lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

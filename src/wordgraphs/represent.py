@@ -11,8 +11,10 @@ and are always representable.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .connectivity import Condensation, condensation, strongly_connected
-from .graphs import Digraph
+from .graphs import Digraph, _edge_key, _sort_key
 from .words import Word
 
 
@@ -22,10 +24,6 @@ class NotRepresentableError(ValueError):
 
 class NotStronglyConnectedError(ValueError):
     """A covering walk inside a component needs a strongly connected graph."""
-
-
-def _sort_key(label):
-    return (type(label).__name__, label)
 
 
 def _path_condensation(cond: Condensation) -> bool:
@@ -45,24 +43,26 @@ def covering_walk(graph: Digraph, start, end) -> list:
     """A walk from start to end traversing every edge of a strongly connected graph.
 
     Greedy: repeatedly route along shortest paths to the smallest uncovered
-    edge and traverse it, then route to the requested end.  No minimality
-    is promised.
+    edge and traverse it, then route to the requested end.  The edges are
+    sorted once and a cursor walks past the ones already covered, since
+    coverage only grows.  No minimality is promised.
     """
     if start not in graph.vertices or end not in graph.vertices:
         raise ValueError("start and end must be vertices")
     if not strongly_connected(graph):
         raise NotStronglyConnectedError("covering walk requires one strong component")
+    ordered = sorted(graph.edges, key=_edge_key)
     adj: dict = {v: [] for v in graph.vertices}
-    for u, v in sorted(graph.edges, key=lambda e: (_sort_key(e[0]), _sort_key(e[1]))):
+    for u, v in ordered:
         adj[u].append(v)
 
     def shortest_path(a, b) -> list:
         if a == b:
             return [a]
         parent = {a: a}
-        queue = [a]
+        queue = deque([a])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in adj[u]:
                 if w not in parent:
                     parent[w] = u
@@ -75,18 +75,18 @@ def covering_walk(graph: Digraph, start, end) -> list:
         raise NotStronglyConnectedError(f"no path from {a!r} to {b!r}")
 
     walk = [start]
-    uncovered = set(graph.edges)
+    covered: set = set()
 
     def extend(path: list) -> None:
-        for u, v in zip(path, path[1:]):
-            uncovered.discard((u, v))
+        covered.update(zip(path, path[1:]))
         walk.extend(path[1:])
 
-    while uncovered:
-        tail, head = min(uncovered, key=lambda e: (_sort_key(e[0]), _sort_key(e[1])))
-        extend(shortest_path(walk[-1], tail))
-        uncovered.discard((tail, head))
-        walk.append(head)
+    for edge in ordered:
+        if edge in covered:
+            continue
+        extend(shortest_path(walk[-1], edge[0]))
+        covered.add(edge)
+        walk.append(edge[1])
     extend(shortest_path(walk[-1], end))
     return walk
 

@@ -29,10 +29,11 @@ from .factorization import split_points
 from .graphs import build_graph
 from .words import iter_canonical_words
 
-# Exact minimum-cut computation per word is only affordable on short words;
-# beyond this the sweep falls back to the deletion-based predicate
-# (weakly connected and bridge-free), which decides "cut size >= 2" without
-# producing the cut size itself.
+# Up to this length each word's exact minimum cut is also computed, by max
+# flow independent of `bridges`, and "cut >= 2" is checked against strong
+# connectivity and the factor count.  Longer words take "cut >= 2" from the
+# bridge predicate alone (weakly connected and bridge-free); the report
+# labels that mode `cut=deletion`.
 FULL_CUT_LENGTH = 7
 
 

@@ -1,5 +1,6 @@
 import json
 
+import wordgraphs.connectivity
 from wordgraphs.cli import main
 from wordgraphs.graphs import build_graph, from_json, letter_labeled
 from wordgraphs.words import parse_word
@@ -70,6 +71,21 @@ class TestCheck:
     def test_verbose_adds_comment(self, capsys):
         code, out, err = run(capsys, "check", "abcb", "--verbose")
         assert any(line.startswith("#") for line in out.splitlines())
+
+    def test_bridges_runs_once_per_word(self, capsys, monkeypatch):
+        real = wordgraphs.connectivity.bridges
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        for module in ("wordgraphs.connectivity", "wordgraphs.cli"):
+            monkeypatch.setattr(f"{module}.bridges", counting)
+        for word in ("abcb", "abca"):
+            calls.clear()
+            run(capsys, "check", word)
+            assert len(calls) == 1, word
 
 class TestCount:
     def test_word_count(self, capsys):

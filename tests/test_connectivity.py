@@ -47,6 +47,25 @@ def undirected_connected(vertices, undirected_edges):
     return seen == set(vertices)
 
 
+def weak_component_count(vertices, edges):
+    count = 0
+    seen = set()
+    for v in vertices:
+        if v not in seen:
+            count += 1
+            seen |= reachable(vertices, list(edges) + [(b, a) for a, b in edges], v)
+    return count
+
+
+def bridge_oracle(g):
+    """Edges whose deletion alone increases the number of weak components."""
+    base = weak_component_count(g.vertices, g.edges)
+    return sorted(
+        e for e in g.edges
+        if weak_component_count(g.vertices, g.edges - {e}) > base
+    )
+
+
 def cut_oracle(g):
     """Minimum number of directed edges whose deletion disconnects the
     underlying multigraph, by trying every deletion subset."""
@@ -160,6 +179,16 @@ class TestBridges:
         for g in word_graphs(6, min_alphabet=2):
             assert bool(bridges(g)) == (edge_connectivity(g) == 1)
 
+    def test_disconnected_graph_keeps_only_true_bridges(self):
+        # A triangle with a pendant edge, plus an isolated vertex.
+        g = Digraph({0, 1, 2, 3, 4}, {(0, 1), (1, 2), (2, 0), (2, 3)})
+        assert bridges(g) == [(2, 3)]
+
+    def test_matches_deletion_oracle_on_digraphs(self):
+        for count in range(1, 5):
+            for g in all_digraphs(count):
+                assert bridges(g) == bridge_oracle(g), sorted(g.edges)
+
 
 class TestEdgeConnectivity:
     def test_single_edge(self):
@@ -183,6 +212,14 @@ class TestEdgeConnectivity:
 
     def test_matches_deletion_oracle_on_digraphs(self):
         for g in all_digraphs(3):
+            assert edge_connectivity(g) == cut_oracle(g)
+
+    def test_does_not_consult_bridges(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("edge_connectivity called bridges")
+
+        monkeypatch.setattr("wordgraphs.connectivity.bridges", refuse)
+        for g in word_graphs(6, min_alphabet=2):
             assert edge_connectivity(g) == cut_oracle(g)
 
     def test_complete_bidirected_graph(self):

@@ -1,0 +1,102 @@
+"""Pinned witness words on a fixed set of graphs.
+
+`synthesize_word` and `wordgraphs represent` are deterministic, so their
+exact output is part of the contract, not only the graph it rebuilds.  The
+expected values below pin that output; long ones are pinned by length and
+SHA-256 digest.
+"""
+
+import hashlib
+
+import pytest
+
+from wordgraphs.cli import main
+from wordgraphs.connectivity import strongly_connected
+from wordgraphs.graphs import Digraph, build_graph, letter_labeled, to_json
+from wordgraphs.represent import synthesize_word
+from wordgraphs.words import parse_word
+
+
+def lcg_strong_graph(symbols, letters, seed):
+    """Graph of a closed walk that visits every symbol, drawn with a 64-bit LCG.
+
+    The walk starts and ends at symbol 0, so the graph is strongly connected.
+    """
+    state = seed
+
+    def draw(bound):
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        return (state >> 33) % bound
+
+    rest = list(range(1, symbols))
+    for i in range(len(rest) - 1, 0, -1):
+        j = draw(i + 1)
+        rest[i], rest[j] = rest[j], rest[i]
+    rest += [1 + draw(symbols - 1) for _ in range(letters - symbols - 1)]
+    walk = [0, *rest, 0]
+    edges = {(a, b) for a, b in zip(walk, walk[1:]) if a != b}
+    return Digraph(frozenset(range(symbols)), frozenset(edges))
+
+
+GRAPHS = {
+    "two-cycle": build_graph(parse_word("aba")),
+    "source-then-cycle": build_graph(parse_word("abcb")),
+    "mixed": build_graph(parse_word("abacbcdbdceafe")),
+    "chain": build_graph(parse_word("ababcdcdcefegfhg")),
+    "labels": Digraph(
+        {"x1", "x2", "y", "zz"},
+        {("x1", "x2"), ("x2", "x1"), ("x2", "y"), ("y", "zz"), ("zz", "y")},
+    ),
+    "strong-30": lcg_strong_graph(30, 90, seed=7),
+    "strong-200": lcg_strong_graph(200, 600, seed=11),
+}
+
+# name: (synthesize_word(graph).text(), represent stdout on the JSON form)
+EXPECTED = {
+    "chain": ("ababcdcefegfhgfe", "ababcdcefegfhgfe\n"),
+    "labels": ("ababcdc", "x1,x2,x1,x2,y,zz,y\n"),
+    "mixed": ("abacbafeabcbdcdceabdba", "abacbafeabcbdcdceabdba\n"),
+    "source-then-cycle": ("abcb", "abcb\n"),
+    "strong-200": (
+        "len=3737 sha256=089c32b10ea17dddd18b14f07009d21516a0cf05da4da760950ad9268daf7fae",
+        "len=3650 sha256=0103704bbd3a490122081a50b218489d711fac9aa6dcd01a46fd27e561c44040",
+    ),
+    "strong-30": (
+        "len=365 sha256=c026a560068f3b1458ec876c3b993cf9e7133f3f5b9552436afb1e5d38ca0cea",
+        "len=378 sha256=f4fd8c68786ff466ae608a3fe3a943332353d8dea46c3b189a843f63a6280909",
+    ),
+    "two-cycle": ("aba", "aba\n"),
+}
+
+
+def pin(text):
+    if len(text) <= 120:
+        return text
+    return f"len={len(text)} sha256={hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def json_form(graph):
+    if all(isinstance(v, int) for v in graph.vertices):
+        graph = letter_labeled(graph)
+    return to_json(graph)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_synthesized_word_is_pinned(name):
+    assert pin(synthesize_word(GRAPHS[name]).text()) == EXPECTED[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_represent_output_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json_form(GRAPHS[name]), encoding="utf-8")
+    assert main(["represent", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert pin(captured.out) == EXPECTED[name][1]
+
+
+def test_random_graphs_are_strong():
+    assert strongly_connected(GRAPHS["strong-30"])
+    assert strongly_connected(GRAPHS["strong-200"])

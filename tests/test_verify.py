@@ -1,5 +1,6 @@
 import pytest
 
+import wordgraphs.connectivity
 from wordgraphs.counting import CountTable
 from wordgraphs.verify import run_verification
 
@@ -11,6 +12,21 @@ def test_small_run_passes():
     assert any(line.startswith("check=recurrence l=6") for line in report.lines)
     assert any(line.startswith("check=family l=6") for line in report.lines)
     assert any(line.startswith("check=equivalence l=6") for line in report.lines)
+
+
+def test_bridges_runs_once_per_word(monkeypatch):
+    real = wordgraphs.connectivity.bridges
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    for module in ("wordgraphs.connectivity", "wordgraphs.verify"):
+        monkeypatch.setattr(f"{module}.bridges", counting)
+    assert run_verification(5).passed
+    # Bell(1) + ... + Bell(5) canonical words are swept.
+    assert len(calls) == 1 + 2 + 5 + 15 + 52
 
 
 def test_deterministic_output():
