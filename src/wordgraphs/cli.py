@@ -30,7 +30,7 @@ from .factorization import finest_disjoint_factorization
 from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
-from .words import parse_word, symbol_name
+from .words import letters_text, parse_word, symbol_name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_factor(letters: tuple[int, ...], alphabet_size: int) -> str:
-    if alphabet_size <= 26:
-        return "".join(symbol_name(c, alphabet_size) for c in letters)
-    return ",".join(str(c) for c in letters)
-
-
 def _cmd_build(args) -> int:
     graph = letter_labeled(build_graph(parse_word(args.word)))
     if args.format == "dot":
@@ -112,7 +106,7 @@ def _cmd_check(args) -> int:
     print(f"weak={'true' if weakly_connected(graph) else 'false'}")
     print(f"lambda={'n/a' if cut is None else cut}")
     print(f"bridges={bridge_text}")
-    print("factors=" + "|".join(_format_factor(f, n) for f in factorization.factors))
+    print("factors=" + "|".join(letters_text(f, n) for f in factorization.factors))
     print(f"k={factorization.cardinality}")
     print(f"sccs={decomp.count}")
     if args.verbose:

@@ -32,44 +32,59 @@ class ComponentMismatchError(RuntimeError):
 
 
 class CountTable:
-    """Memoized Stirling and strong-word counts.
+    """Stirling and strong-word counts, filled bottom-up without recursion.
 
-    Thread-safe: cells are filled under a lock, so concurrent readers
-    observe each value computed once.  `seed_strong_count` overwrites a
-    memo cell and exists purely as a fault-injection hook for testing the
-    verification harness; it has no legitimate production use.
+    Column n holds S(l, n) and T(l, n) as lists indexed by the length l.
+    Thread-safe: the table is filled under a lock.  `seed_strong_count`
+    overwrites a table cell and exists purely as a fault-injection hook for
+    testing the verification harness; it has no legitimate production use.
     """
 
     def __init__(self) -> None:
-        self._stirling: dict[tuple[int, int], int] = {}
-        self._strong: dict[tuple[int, int], int] = {}
+        self._stirling: list[list[int]] = []
+        # Columns 0 and 1 of T are base cases and never stored.
+        self._strong: list[list[int]] = [[], []]
         self._lock = threading.RLock()
+
+    def _grow_stirling(self, length: int, blocks: int) -> None:
+        columns = self._stirling
+        for n in range(blocks + 1):
+            if n == len(columns):
+                columns.append([1 if n == 0 else 0])
+            column = columns[n]
+            for l in range(len(column), length + 1):
+                column.append(n * column[l - 1] + (columns[n - 1][l - 1] if n else 0))
+
+    def _grow_strong(self, length: int, alphabet_size: int) -> None:
+        """T(l, n) = S(l-1, n) + sum over j <= l-2, m <= n-2 of S(j, m) T(l-j-1, n-m) (n-m-1).
+
+        S(j, 0) vanishes except at j = 0, so the m = 0 terms reduce to T(l-1, n) (n-1).
+        """
+        self._grow_stirling(length, alphabet_size)
+        stirling, columns = self._stirling, self._strong
+        for n in range(2, alphabet_size + 1):
+            if n == len(columns):
+                columns.append([0] * (n + 1))
+            column = columns[n]
+            for l in range(len(column), length + 1):
+                total = stirling[n][l - 1] + column[l - 1] * (n - 1)
+                for m in range(1, n - 1):
+                    s, t = stirling[m], columns[n - m]
+                    # S(j, m) vanishes for j < m and T(i, n-m) for i <= n-m.
+                    total += (n - m - 1) * sum(
+                        s[j] * t[l - j - 1] for j in range(m, l - 1 - n + m)
+                    )
+                column.append(total)
 
     def stirling2(self, length: int, blocks: int) -> int:
         """Stirling number of the second kind."""
         if length < 0 or blocks < 0:
             raise ValueError("arguments must be non-negative")
+        if blocks > length:
+            return 0
         with self._lock:
-            return self._stirling2(length, blocks)
-
-    def _stirling2(self, length: int, blocks: int) -> int:
-        if blocks == 0 or blocks > length:
-            return 1 if length == blocks else 0
-        key = (length, blocks)
-        got = self._stirling.get(key)
-        if got is None:
-            # Fill the table iteratively; the pure recurrence would recurse
-            # one frame per element.
-            row = {0: 1}
-            for l in range(1, length + 1):
-                row = {
-                    n: n * row.get(n, 0) + row.get(n - 1, 0)
-                    for n in range(1, min(l, blocks) + 1)
-                }
-                for n, value in row.items():
-                    self._stirling.setdefault((l, n), value)
-            got = self._stirling[key]
-        return got
+            self._grow_stirling(length, blocks)
+            return self._stirling[blocks][length]
 
     def strong_partition_count(self, length: int, alphabet_size: int) -> int:
         """Canonical words of `length` over exactly `alphabet_size` symbols
@@ -84,30 +99,15 @@ class CountTable:
         """
         if alphabet_size <= 0:
             raise ValueError("alphabet size must be positive")
-        with self._lock:
-            return self._strong_partition_count(length, alphabet_size)
-
-    def _strong_partition_count(self, length: int, alphabet_size: int) -> int:
         if length <= 0:
             return 0
         if alphabet_size == 1:
             return 1
         if length <= alphabet_size:
             return 0
-        key = (length, alphabet_size)
-        got = self._strong.get(key)
-        if got is None:
-            got = self._stirling2(length - 1, alphabet_size)
-            for j in range(0, length - 1):
-                for m in range(0, alphabet_size - 1):
-                    s = self._stirling2(j, m)
-                    if s == 0:
-                        continue
-                    t = self._strong_partition_count(length - j - 1, alphabet_size - m)
-                    if t:
-                        got += s * t * (alphabet_size - m - 1)
-            self._strong[key] = got
-        return got
+        with self._lock:
+            self._grow_strong(length, alphabet_size)
+            return self._strong[alphabet_size][length]
 
     def strong_word_count(self, length: int, alphabet_size: int) -> int:
         """Strongly connected words of `length` over `alphabet_size` labeled symbols."""
@@ -126,9 +126,12 @@ class CountTable:
         return sum(self.stirling2(length, n) for n in range(length + 1))
 
     def seed_strong_count(self, length: int, alphabet_size: int, value: int) -> None:
-        """Overwrite one strong-count memo cell (fault-injection test hook)."""
-        with self._lock:
-            self._strong[(length, alphabet_size)] = value
+        """Overwrite one strong-count cell (fault-injection test hook); cells
+        filled later read the seeded value.  Base cases cannot be seeded."""
+        if length > alphabet_size > 1:
+            with self._lock:
+                self._grow_strong(length, alphabet_size)
+                self._strong[alphabet_size][length] = value
 
     def rows(self, max_length: int, max_alphabet: int) -> Iterator[tuple[int, int, int, int, int]]:
         """(length, alphabet, stirling, strong partitions, strong words) per pair."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from .words import Word, symbol_name
 
@@ -52,10 +52,6 @@ class Digraph:
         return len(self.edges)
 
 
-# A word graph is just a Digraph whose vertices are the word's symbol ids.
-WordGraph = Digraph
-
-
 def build_graph(word: Word) -> Digraph:
     """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs."""
     edges = {
@@ -64,23 +60,16 @@ def build_graph(word: Word) -> Digraph:
     return Digraph(frozenset(range(word.alphabet_size)), frozenset(edges))
 
 
-def relabel(graph: Digraph, mapping: Mapping) -> Digraph:
-    """Apply an injective vertex relabeling."""
-    image = [mapping[v] for v in graph.vertices]
-    if len(set(image)) != len(image):
-        raise InvalidGraphError("relabeling is not injective")
-    return Digraph(
-        frozenset(image),
-        frozenset((mapping[u], mapping[v]) for u, v in graph.edges),
-    )
-
-
 def letter_labeled(graph: Digraph) -> Digraph:
     """Relabel a word graph's symbol ids with their presentation text."""
     n = graph.vertex_count
     if graph.vertices != frozenset(range(n)):
         raise InvalidGraphError("expected dense integer symbol ids")
-    return relabel(graph, {v: symbol_name(v, n) for v in graph.vertices})
+    name = {v: symbol_name(v, n) for v in graph.vertices}
+    return Digraph(
+        frozenset(name.values()),
+        frozenset((name[u], name[v]) for u, v in graph.edges),
+    )
 
 
 def _sort_key(label: Hashable):

@@ -68,10 +68,7 @@ class Word:
 
     def text(self) -> str:
         """Presentation form: letters for alphabets up to 26, else comma-separated ids."""
-        n = self.alphabet_size
-        if n <= 26:
-            return "".join(symbol_name(c, n) for c in self.letters)
-        return ",".join(str(c) for c in self.letters)
+        return letters_text(self.letters, self.alphabet_size)
 
     def __str__(self) -> str:
         return self.text()
@@ -82,6 +79,13 @@ def symbol_name(symbol: int, alphabet_size: int) -> str:
     if alphabet_size <= 26:
         return chr(ord("a") + symbol)
     return str(symbol)
+
+
+def letters_text(letters: tuple[int, ...], alphabet_size: int) -> str:
+    """Text for symbol ids: letters for alphabets up to 26, else comma-separated ids."""
+    names = {c: symbol_name(c, alphabet_size) for c in set(letters)}
+    separator = "" if alphabet_size <= 26 else ","
+    return separator.join([names[c] for c in letters])
 
 
 def parse_word(text: str) -> Word:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import wordgraphs.connectivity
 from wordgraphs.cli import main
@@ -68,6 +69,15 @@ class TestCheck:
         code, out, err = run(capsys, "check", "a!b")
         assert code == 2
 
+    def test_ids_beyond_26_symbols(self, capsys):
+        cycle = ",".join(str(c) for c in [*range(2, 28), 2])
+        code, out, err = run(capsys, "check", "0,1,0," + cycle)
+        assert code == 1
+        lines = out.splitlines()
+        assert "word=0,1,0," + cycle in lines
+        assert "bridges=0->2" in lines
+        assert "factors=0,1,0|" + cycle in lines
+
     def test_verbose_adds_comment(self, capsys):
         code, out, err = run(capsys, "check", "abcb", "--verbose")
         assert any(line.startswith("#") for line in out.splitlines())
@@ -105,6 +115,15 @@ class TestCount:
     def test_bad_bounds(self, capsys):
         code, out, err = run(capsys, "count", "--length", "0", "--alphabet", "1")
         assert code == 2
+
+    def test_long_length_exits_cleanly(self, capsys):
+        def surjections(l, n):  # n! S(l, n), by inclusion-exclusion
+            return sum((-1) ** k * math.comb(n, k) * (n - k) ** l for k in range(n + 1))
+
+        code, out, err = run(capsys, "count", "--length", "1200", "--alphabet", "5")
+        assert (code, err) == (0, "")
+        # S(l-1, n) <= T(l, n) <= S(l, n): the recurrence's first term, and a subset of all words.
+        assert surjections(1199, 5) <= int(out) <= surjections(1200, 5)
 
 class TestTable:
     def test_stdout(self, capsys):

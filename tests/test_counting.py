@@ -207,11 +207,21 @@ class TestCountTable:
             )
             assert all(expected[key] == value for key, value in results)
 
+    def test_long_thin_cell_does_not_recurse(self):
+        # T(l, 2) = 2^(l-1) - l: the words starting with a that contain b and ba.
+        assert CountTable().strong_partition_count(1500, 2) == 2**1499 - 1500
+
     def test_seed_is_local_to_the_table(self):
         table = CountTable()
         table.seed_strong_count(5, 3, 1234)
         assert table.strong_partition_count(5, 3) == 1234
         assert strong_partition_count(5, 3) == 9
+        # Base cases are never read from the table, so seeding them changes nothing.
+        table = CountTable()
+        table.seed_strong_count(3, 3, 7)
+        table.seed_strong_count(5, 1, 7)
+        assert table.strong_partition_count(4, 3) == 1
+        assert table.strong_partition_count(5, 1) == 1
 
     def test_rows_shape(self):
         table = CountTable()

@@ -8,7 +8,6 @@ from wordgraphs.graphs import (
     build_graph,
     from_json,
     letter_labeled,
-    relabel,
     to_dot,
     to_json,
 )
@@ -45,7 +44,12 @@ class TestBuildGraph:
             mapping = {}
             for c in w.letters:
                 mapping.setdefault(c, len(mapping))
-            assert build_graph(canonicalize(w)) == relabel(build_graph(w), mapping)
+            g = build_graph(w)
+            relabeled = Digraph(
+                frozenset(mapping[v] for v in g.vertices),
+                frozenset((mapping[u], mapping[v]) for u, v in g.edges),
+            )
+            assert build_graph(canonicalize(w)) == relabeled
 
 
 class TestDigraph:
@@ -65,11 +69,6 @@ class TestDigraph:
         g = Digraph({"a", "b"}, [("a", "b")])
         assert isinstance(g.vertices, frozenset)
         assert isinstance(g.edges, frozenset)
-
-    def test_relabel_requires_injective(self):
-        g = Digraph({"a", "b"}, {("a", "b")})
-        with pytest.raises(InvalidGraphError):
-            relabel(g, {"a": "x", "b": "x"})
 
     def test_letter_labeled(self):
         g = letter_labeled(build_graph(parse_word("abca")))

@@ -56,6 +56,10 @@ def test_cap_skips_instead_of_failing():
     report = run_verification(5, cap=10)
     assert report.passed
     assert any("status=skipped reason=cap" in line for line in report.lines)
+    # The family check is closed-form, so the cap never skips it.
+    family = [line for line in report.lines if line.startswith("check=family")]
+    assert len(family) == 1 + 2 + 3 + 4 + 5
+    assert all(line.endswith("status=ok") for line in family)
 
 
 def test_bounds_validated():
