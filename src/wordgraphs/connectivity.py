@@ -242,22 +242,35 @@ class Condensation:
 
     Component indices follow the topological order of the decomposition, so
     every quotient edge goes from a lower index to a higher one and the
-    quotient is acyclic by construction.  `multiplicity` counts the distinct
-    original edges behind each quotient edge.
+    quotient is acyclic by construction.  `internal[i]` holds the original
+    edges inside component i and `crossing` the original edges behind each
+    quotient edge; `multiplicity` counts the latter.
     """
 
     components: tuple[frozenset, ...]
     graph: Digraph
-    multiplicity: Mapping[tuple[int, int], int]
+    internal: tuple[frozenset, ...]
+    crossing: Mapping[tuple[int, int], frozenset]
+
+    @property
+    def multiplicity(self) -> dict[tuple[int, int], int]:
+        return {pair: len(edges) for pair, edges in self.crossing.items()}
 
 
 def condensation(graph: Digraph) -> Condensation:
     decomp = scc_decomposition(graph)
-    multiplicity: dict[tuple[int, int], int] = {}
+    internal: list[set] = [set() for _ in decomp.components]
+    crossing: dict[tuple[int, int], set] = {}
     for u, v in graph.edges:
-        cu = decomp.component_index[u]
-        cv = decomp.component_index[v]
-        if cu != cv:
-            multiplicity[(cu, cv)] = multiplicity.get((cu, cv), 0) + 1
-    quotient = Digraph(frozenset(range(decomp.count)), frozenset(multiplicity))
-    return Condensation(decomp.components, quotient, multiplicity)
+        cu, cv = decomp.component_index[u], decomp.component_index[v]
+        if cu == cv:
+            internal[cu].add((u, v))
+        else:
+            crossing.setdefault((cu, cv), set()).add((u, v))
+    quotient = Digraph(frozenset(range(decomp.count)), frozenset(crossing))
+    return Condensation(
+        decomp.components,
+        quotient,
+        tuple(map(frozenset, internal)),
+        {pair: frozenset(edges) for pair, edges in crossing.items()},
+    )

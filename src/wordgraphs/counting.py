@@ -111,9 +111,9 @@ class CountTable:
 
     def strong_word_count(self, length: int, alphabet_size: int) -> int:
         """Strongly connected words of `length` over `alphabet_size` labeled symbols."""
-        return math.factorial(alphabet_size) * self.strong_partition_count(
-            length, alphabet_size
-        )
+        partitions = self.strong_partition_count(length, alphabet_size)
+        # Skip the factorial when there is nothing to label (l <= n, n >= 2).
+        return partitions and math.factorial(alphabet_size) * partitions
 
     def family_cardinality(self, length: int, alphabet_size: int) -> int:
         """All exact-alphabet words of `length` over `alphabet_size` labeled symbols."""

@@ -112,10 +112,14 @@ def to_json(graph: Digraph) -> str:
 
 
 def from_json(text: str) -> Digraph:
-    """Parse the JSON interchange form, rejecting malformed documents."""
+    """Parse the JSON interchange form, rejecting malformed documents.
+
+    Labels must be non-empty and free of ',' so that a comma-joined walk
+    reads back unambiguously.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
         raise InvalidGraphError('expected an object with "vertices" and "edges"')
@@ -123,6 +127,8 @@ def from_json(text: str) -> Digraph:
     edges = doc["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InvalidGraphError("vertices must be an array of strings")
+    if any(v == "" or "," in v for v in vertices):
+        raise InvalidGraphError("vertex labels must be non-empty and contain no ','")
     if len(set(vertices)) != len(vertices):
         raise InvalidGraphError("duplicate vertex")
     if not isinstance(edges, list):

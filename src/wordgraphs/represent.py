@@ -28,9 +28,8 @@ class NotStronglyConnectedError(ValueError):
 
 def _path_condensation(cond: Condensation) -> bool:
     k = len(cond.components)
-    wanted = {(i, i + 1) for i in range(k - 1)}
-    return set(cond.graph.edges) == wanted and all(
-        m == 1 for m in cond.multiplicity.values()
+    return cond.crossing.keys() == {(i, i + 1) for i in range(k - 1)} and all(
+        len(edges) == 1 for edges in cond.crossing.values()
     )
 
 
@@ -101,29 +100,17 @@ def representational_walk(graph: Digraph) -> list:
     cond = condensation(graph)
     if not _path_condensation(cond):
         raise NotRepresentableError("condensation is not a single-edge path")
-    component_index = {
-        v: i for i, comp in enumerate(cond.components) for v in comp
-    }
-    # The unique original edge behind each consecutive component pair.
-    boundary = {}
-    for u, v in graph.edges:
-        cu, cv = component_index[u], component_index[v]
-        if cu != cv:
-            boundary[(cu, cv)] = (u, v)
-
     walk: list = []
     k = len(cond.components)
     entry = None
     for i, members in enumerate(cond.components):
-        internal = frozenset(
-            (u, v) for u, v in graph.edges if u in members and v in members
-        )
-        sub = Digraph(members, internal)
         start = entry if entry is not None else min(members, key=_sort_key)
         if i < k - 1:
-            exit_vertex, entry = boundary[(i, i + 1)]
+            # The unique original edge into the next component.
+            [(exit_vertex, entry)] = cond.crossing[(i, i + 1)]
         else:
             exit_vertex = start
+        sub = Digraph(members, cond.internal[i])
         walk.extend(covering_walk(sub, start, exit_vertex))
     return walk
 

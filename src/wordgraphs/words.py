@@ -119,28 +119,15 @@ def canonicalize(word: Word) -> Word:
     return Word(tuple(ids.setdefault(c, len(ids)) for c in word.letters))
 
 
-def iter_canonical_words(
-    length: int, alphabet_size: int, prefix: tuple[int, ...] = ()
-) -> Iterator[Word]:
+def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
     """Yield every canonical word of `length` with exactly `alphabet_size` symbols.
 
     Words appear in lexicographic order on their id sequences; the total
     equals the Stirling number of the second kind for (length, alphabet_size).
-    A length below the alphabet size yields nothing.  `prefix` restricts the
-    stream to words extending a given canonical prefix, which lets disjoint
-    sub-ranges be consumed independently (e.g. from parallel workers).
+    A length below the alphabet size yields nothing.
     """
     if length < 1 or alphabet_size < 1:
         raise ValueError("length and alphabet size must be at least 1")
-    if len(prefix) > length:
-        raise ValueError("prefix longer than requested length")
-    used = 0
-    for c in prefix:
-        if not 0 <= c <= used:
-            raise ValueError(f"prefix {prefix!r} is not a canonical id sequence")
-        used = max(used, c + 1)
-    if used > alphabet_size:
-        return
 
     def rec(stem: list[int], used: int) -> Iterator[Word]:
         remaining = length - len(stem)
@@ -155,7 +142,7 @@ def iter_canonical_words(
             yield from rec(stem, max(used, c + 1))
             stem.pop()
 
-    yield from rec(list(prefix), used)
+    yield from rec([], 0)
 
 
 @dataclass(frozen=True)

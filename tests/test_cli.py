@@ -215,6 +215,14 @@ class TestRepresent:
         code, out, err = run(capsys, "represent", "--input", str(tmp_path / "no.json"))
         assert code == 2
 
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, "[" * 200_000)
+        code, out, err = run(capsys, "represent", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 class TestHistogram:
     def test_example(self, capsys):
         code, out, err = run(capsys, "histogram", "--length", "4", "--alphabet", "3")

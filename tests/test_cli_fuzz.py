@@ -1,0 +1,90 @@
+"""The CLI exit-code contract under arbitrary input, fuzzed with hypothesis.
+
+`cli.main` runs in process with its streams captured by `redirect_stdout`
+and `redirect_stderr`, since hypothesis rejects function-scoped fixtures
+such as capsys.  Whatever the input, main returns 0, 1 or 2 without
+raising, and writes nothing to stderr unless it returns 2.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from wordgraphs.cli import main  # noqa: E402
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+keys = st.sampled_from(["vertices", "edges", "x"]) | st.text(max_size=3)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(keys, children, max_size=3),
+    max_leaves=16,
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """A well-formed graph document on up to 8 arbitrary string labels.
+
+    Edges come from a walk over the labels, so many graphs are
+    representable, plus a few arbitrary extra edges.
+    """
+    labels = draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True)
+    )
+    n = len(labels)
+    walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+    pairs = set(zip(walk, walk[1:]))
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    edges = [[labels[a], labels[b]] for a, b in sorted(pairs) if a != b]
+    return {"vertices": labels, "edges": edges}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert err.getvalue() == ""
+    return code
+
+
+@FUZZ
+@given(
+    st.one_of(
+        json_values.map(json.dumps),
+        graph_documents().map(json.dumps),
+        st.text(max_size=40),
+    )
+)
+@example("[" * 200_000)
+@example('{"vertices":["a,b","c",""],"edges":[["a,b","c"],["c",""],["","a,b"]]}')
+def test_represent_keeps_the_contract(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        # Lone surrogates go to the file as invalid UTF-8, an input error too.
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+            handle.write(document)
+        run(["represent", "--input", path])
+
+
+@FUZZ
+@given(st.text(max_size=12), st.sampled_from([[], ["--verbose"]]))
+def test_check_keeps_the_contract(text, flags):
+    run(["check", text, *flags])
+
+
+@FUZZ
+@given(st.text(max_size=12), st.sampled_from(["dot", "json"]))
+def test_build_keeps_the_contract(text, fmt):
+    run(["build", text, "--format", fmt])

@@ -235,11 +235,15 @@ class TestCondensation:
         assert len(c.components) == 2
         assert c.graph.edges == frozenset({(0, 1)})
         assert c.multiplicity == {(0, 1): 1}
+        assert c.internal == (frozenset(), frozenset({(1, 2), (2, 1)}))
+        assert c.crossing == {(0, 1): frozenset({(0, 1)})}
 
     def test_single_component(self):
         c = condensation(build_graph(parse_word("abca")))
         assert len(c.components) == 1
         assert c.graph.edges == frozenset()
+        assert c.internal == (frozenset({(0, 1), (1, 2), (2, 0)}),)
+        assert c.crossing == {}
 
     def test_hand_built_dag(self):
         g = Digraph({"a", "b", "c"}, {("a", "b"), ("a", "c"), ("c", "b")})
@@ -253,6 +257,20 @@ class TestCondensation:
         c = condensation(g)
         assert len(c.components) == 2
         assert c.multiplicity == {(0, 1): 2}
+        assert c.components == (frozenset({"a"}), frozenset({"b", "c"}))
+        assert c.crossing == {(0, 1): frozenset({("a", "b"), ("a", "c")})}
+        assert c.internal == (frozenset(), frozenset({("b", "c"), ("c", "b")}))
+
+    def test_every_edge_filed_exactly_once(self):
+        for g in word_graphs(6):
+            c = condensation(g)
+            filed = [e for edges in c.internal for e in edges]
+            filed += [e for edges in c.crossing.values() for e in edges]
+            assert sorted(filed) == sorted(g.edges)
+            for i, edges in enumerate(c.internal):
+                assert all(u in c.components[i] and v in c.components[i] for u, v in edges)
+            for (i, j), edges in c.crossing.items():
+                assert all(u in c.components[i] and v in c.components[j] for u, v in edges)
 
     def test_quotient_is_acyclic(self):
         for g in word_graphs(6):

@@ -102,6 +102,15 @@ class TestStrongCounts:
         assert strong_word_count(2, 1) == 1
         assert strong_word_count(5, 3) == math.factorial(3) * 9
 
+    def test_zero_count_skips_the_factorial(self, monkeypatch):
+        def factorial(n):
+            raise AssertionError(f"factorial({n}) computed for a zero count")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        assert strong_word_count(5, 100_000) == 0
+        assert strong_word_count(7, 7) == 0
+        assert CountTable().strong_word_count(0, 3) == 0
+
 
 class TestFamilyCardinality:
     def test_examples(self):
@@ -144,19 +153,6 @@ class TestBruteForce:
     def test_range_check(self):
         with pytest.raises(ValueError):
             brute_force_strong_count(3, 4)
-
-    def test_split_ranges_sum_to_whole(self):
-        # Disjoint lexicographic sub-ranges, counted concurrently.
-        def count_range(prefix):
-            return sum(
-                1
-                for w in iter_canonical_words(7, 3, prefix=prefix)
-                if strongly_connected(build_graph(w))
-            )
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parts = list(pool.map(count_range, [(0, 0), (0, 1)]))
-        assert sum(parts) == brute_force_strong_count(7, 3)
 
 
 class TestHistogram:

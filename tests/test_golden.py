@@ -11,10 +11,10 @@ import hashlib
 import pytest
 
 from wordgraphs.cli import main
-from wordgraphs.connectivity import strongly_connected
+from wordgraphs.connectivity import scc_decomposition, strongly_connected
 from wordgraphs.graphs import Digraph, build_graph, letter_labeled, to_json
 from wordgraphs.represent import synthesize_word
-from wordgraphs.words import parse_word
+from wordgraphs.words import Word, parse_word
 
 
 def lcg_strong_graph(symbols, letters, seed):
@@ -39,6 +39,15 @@ def lcg_strong_graph(symbols, letters, seed):
     return Digraph(frozenset(range(symbols)), frozenset(edges))
 
 
+def chain_graph(components):
+    """A path of strong three-symbol components, each walked in one of three shapes."""
+    shapes = [(0, 1, 2, 1, 0), (0, 2, 1, 2, 0, 1), (0, 1, 0, 2, 0)]
+    letters = []
+    for i in range(components):
+        letters += [3 * i + c for c in shapes[i % 3]]
+    return build_graph(Word(tuple(letters)))
+
+
 GRAPHS = {
     "two-cycle": build_graph(parse_word("aba")),
     "source-then-cycle": build_graph(parse_word("abcb")),
@@ -50,11 +59,16 @@ GRAPHS = {
     ),
     "strong-30": lcg_strong_graph(30, 90, seed=7),
     "strong-200": lcg_strong_graph(200, 600, seed=11),
+    "chain-300": chain_graph(300),
 }
 
 # name: (synthesize_word(graph).text(), represent stdout on the JSON form)
 EXPECTED = {
     "chain": ("ababcdcefegfhgfe", "ababcdcefegfhgfe\n"),
+    "chain-300": (
+        "len=6977 sha256=94f8fc60df5b83f692186c1b6bd70b760218cac7de834987c509a11730a8d11f",
+        "len=6966 sha256=d581772dfa48bf45af47f37acbc04ed4d40fdc2e03d5adf88beb3b434d7d35f9",
+    ),
     "labels": ("ababcdc", "x1,x2,x1,x2,y,zz,y\n"),
     "mixed": ("abacbafeabcbdcdceabdba", "abacbafeabcbdcdceabdba\n"),
     "source-then-cycle": ("abcb", "abcb\n"),
@@ -95,6 +109,10 @@ def test_represent_output_is_pinned(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert pin(captured.out) == EXPECTED[name][1]
+
+
+def test_chain_has_300_components():
+    assert scc_decomposition(GRAPHS["chain-300"]).count == 300
 
 
 def test_random_graphs_are_strong():

@@ -135,6 +135,9 @@ class TestJson:
             '{"vertices":["a","b"],"edges":[["a","b"],["a","b"]]}',
             '{"vertices":["a","b"],"edges":[["a"]]}',
             '{"vertices":["a","b"],"edges":[["a",2]]}',
+            '{"vertices":["a",""],"edges":[]}',
+            '{"vertices":["a,b","c"],"edges":[["a,b","c"]]}',
+            pytest.param("[" * 200_000, id="nested-200000"),
         ],
     )
     def test_malformed_documents(self, text):

@@ -13,6 +13,24 @@ from wordgraphs.represent import (
 from wordgraphs.words import Word, iter_canonical_words, parse_word
 
 
+class CountingEdges(frozenset):
+    """A frozenset that counts the Python-level iterations over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def chain_graph(components):
+    """Graph of a word whose strong components are 2-cycles joined in a path."""
+    letters = []
+    for i in range(components):
+        letters += [2 * i, 2 * i + 1, 2 * i]
+    return build_graph(Word(tuple(letters)))
+
+
 def covering_walk_exists(g):
     """Oracle: breadth-first search over (position, covered-edge-set) states.
 
@@ -132,6 +150,18 @@ class TestSynthesis:
                 walk = representational_walk(g)
                 assert walk_edges(walk) == g.edges
                 assert set(walk) == g.vertices
+
+    def test_edge_passes_do_not_grow_with_components(self):
+        passes = []
+        for components in (50, 500):
+            g = chain_graph(components)
+            # Digraph copies its edges into a plain frozenset, so swap afterwards.
+            edges = CountingEdges(g.edges)
+            object.__setattr__(g, "edges", edges)
+            walk = representational_walk(g)
+            passes.append(edges.passes)
+            assert walk_edges(walk) == g.edges
+        assert passes[0] == passes[1]
 
     def test_round_trip_over_words(self):
         for length in range(1, 6):

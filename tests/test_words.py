@@ -131,19 +131,6 @@ class TestIteration:
         with pytest.raises(ValueError):
             list(iter_canonical_words(3, 0))
 
-    def test_prefix_ranges_partition_the_stream(self):
-        whole = list(iter_canonical_words(6, 3))
-        pieces = [
-            list(iter_canonical_words(6, 3, prefix=(0, c))) for c in (0, 1)
-        ]
-        assert whole == pieces[0] + pieces[1]
-
-    def test_prefix_must_be_canonical(self):
-        with pytest.raises(ValueError):
-            list(iter_canonical_words(4, 2, prefix=(1,)))
-        with pytest.raises(ValueError):
-            list(iter_canonical_words(4, 2, prefix=(0, 2)))
-
 
 class TestPartitions:
     def test_word_to_partition(self):
