@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Digraph, _edge_key, _sort_key
+from .graphs import Digraph, _edge_key, _incidence, _out_lists, _sort_key
 
 
 class EmptyGraphError(ValueError):
@@ -28,18 +28,6 @@ class EmptyGraphError(ValueError):
 def _require_vertices(graph: Digraph) -> None:
     if not graph.vertices:
         raise EmptyGraphError("graph has no vertices")
-
-
-def _sorted_vertices(graph: Digraph) -> list:
-    _require_vertices(graph)
-    return sorted(graph.vertices, key=_sort_key)
-
-
-def _adjacency(graph: Digraph) -> dict:
-    adj = {v: [] for v in graph.vertices}
-    for u, v in sorted(graph.edges, key=_edge_key):
-        adj[u].append(v)
-    return adj
 
 
 @dataclass(frozen=True)
@@ -59,8 +47,8 @@ class SccDecomposition:
 
 def scc_decomposition(graph: Digraph) -> SccDecomposition:
     """Tarjan's algorithm, iterative, with components topologically sorted."""
-    order = _sorted_vertices(graph)
-    adj = _adjacency(graph)
+    _require_vertices(graph)
+    adj = _out_lists(graph)
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
@@ -68,7 +56,7 @@ def scc_decomposition(graph: Digraph) -> SccDecomposition:
     components: list[frozenset] = []
     counter = 0
 
-    for root in order:
+    for root in adj:
         if root in index:
             continue
         work = [(root, iter(adj[root]))]
@@ -119,20 +107,18 @@ def strongly_connected(graph: Digraph) -> bool:
 
 def weakly_connected(graph: Digraph) -> bool:
     """True when the underlying undirected graph is connected."""
-    verts = _sorted_vertices(graph)
-    und = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        und[u].add(v)
-        und[v].add(u)
-    seen = {verts[0]}
-    frontier = [verts[0]]
+    _require_vertices(graph)
+    incident = _incidence(graph)[1]
+    start = next(iter(incident))
+    seen = {start}
+    frontier = [start]
     while frontier:
         u = frontier.pop()
-        for w in und[u]:
+        for w, _ in incident[u]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == len(verts)
+    return len(seen) == len(incident)
 
 
 def bridges(graph: Digraph) -> list[tuple]:
@@ -144,11 +130,7 @@ def bridges(graph: Digraph) -> list[tuple]:
     edges and is never a bridge.
     """
     _require_vertices(graph)
-    edges = list(graph.edges)
-    incident: dict = {v: [] for v in graph.vertices}
-    for i, (u, v) in enumerate(edges):
-        incident[u].append((v, i))
-        incident[v].append((u, i))
+    edges, incident = _incidence(graph)
     disc: dict = {}
     low: dict = {}
     out = []
@@ -190,7 +172,8 @@ def edge_connectivity(graph: Digraph) -> int | None:
     multidegree, and the search ends at 1, the least a weakly connected graph
     can reach.  So the cost is O(V * lambda * (V + E)).
     """
-    verts = _sorted_vertices(graph)
+    _require_vertices(graph)
+    verts = sorted(graph.vertices, key=_sort_key)
     if len(verts) == 1:
         return None
     if not weakly_connected(graph):

@@ -17,8 +17,8 @@ from typing import Iterator
 
 from .connectivity import scc_decomposition
 from .factorization import split_points
-from .graphs import build_graph
-from .words import iter_canonical_words
+from .graphs import Digraph, build_graph
+from .words import Word, iter_canonical_words
 
 DEFAULT_CAP = 10_000_000
 
@@ -253,6 +253,17 @@ def brute_force_strong_count(
     return counts[alphabet_size]
 
 
+def _sweep(length: int, alphabet_size: int) -> Iterator[tuple[Word, Digraph, int, int]]:
+    """(word, graph, strong component count, factor count) per canonical word.
+
+    The two counts are separate derivations, one from the graph's strong
+    components and one from the word's split points; callers compare them.
+    """
+    for word in iter_canonical_words(length, alphabet_size):
+        graph = build_graph(word)
+        yield word, graph, scc_decomposition(graph).count, len(split_points(word)) + 1
+
+
 def scc_histogram(
     length: int, alphabet_size: int, cap: int | None = DEFAULT_CAP
 ) -> dict[int, int]:
@@ -265,9 +276,7 @@ def scc_histogram(
         raise ValueError("need 1 <= alphabet_size <= length")
     _check_cap(length, cap)
     histogram: dict[int, int] = {}
-    for word in iter_canonical_words(length, alphabet_size):
-        components = scc_decomposition(build_graph(word)).count
-        factors = len(split_points(word)) + 1
+    for word, _, components, factors in _sweep(length, alphabet_size):
         if components != factors:
             raise ComponentMismatchError(
                 f"word {word.text()}: {components} components but {factors} factors"

@@ -1,18 +1,22 @@
-"""Splitting words into alphabet-disjoint factors, and partition irreducibility.
+"""Splitting words into alphabet-disjoint factors.
 
 A split point of a word is a position after which no earlier symbol
 reappears, so the prefix and suffix use disjoint alphabets.  Taking every
 split point gives the finest disjoint factorization; its cardinality equals
 the word graph's strong component count, and the boundaries are exactly the
 graph's bridges.
+
+Read as a set partition (see `words`), a canonical word has a split point
+at j exactly when some blocks union to the prefix 1..j.  A partition is
+irreducible when no proper subset of its blocks does, that is when its
+word has no split point: `not split_points(word)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .words import SetPartition, Word, partition_to_word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,3 @@ def finest_disjoint_factorization(word: Word) -> DisjointFactorization:
         word.letters[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)
     )
     return DisjointFactorization(word, points, factors)
-
-
-def is_irreducible(partition: SetPartition | Iterable[Iterable[int]]) -> bool:
-    """True when no proper subset of blocks unions to a prefix 1..j, j < length.
-
-    Only prefix-shaped subsets can matter, so the test reduces to asking
-    whether the partition's canonical word has a split point.
-    """
-    return not split_points(partition_to_word(partition))

@@ -81,6 +81,25 @@ def _edge_key(edge: tuple):
     return (_sort_key(edge[0]), _sort_key(edge[1]))
 
 
+def _out_lists(graph: Digraph) -> dict:
+    """Successor lists keyed and ordered by `_sort_key`: read in order, they
+    give the edges in `_edge_key` order, so traversals are deterministic."""
+    out = {v: [] for v in sorted(graph.vertices, key=_sort_key)}
+    for u, v in sorted(graph.edges, key=_edge_key):
+        out[u].append(v)
+    return out
+
+
+def _incidence(graph: Digraph) -> tuple[list, dict]:
+    """The edge list, and each vertex's (neighbour, edge id) pairs ignoring direction."""
+    edges = list(graph.edges)
+    incident: dict = {v: [] for v in graph.vertices}
+    for i, (u, v) in enumerate(edges):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
+    return edges, incident
+
+
 def _dot_id(label) -> str:
     text = str(label)
     if text.isalnum():

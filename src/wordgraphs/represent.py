@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .connectivity import Condensation, condensation, strongly_connected
-from .graphs import Digraph, _edge_key, _sort_key
+from .graphs import Digraph, _out_lists, _sort_key
 from .words import Word
 
 
@@ -50,10 +50,13 @@ def covering_walk(graph: Digraph, start, end) -> list:
         raise ValueError("start and end must be vertices")
     if not strongly_connected(graph):
         raise NotStronglyConnectedError("covering walk requires one strong component")
-    ordered = sorted(graph.edges, key=_edge_key)
-    adj: dict = {v: [] for v in graph.vertices}
-    for u, v in ordered:
-        adj[u].append(v)
+    return _covering_walk(graph, start, end)
+
+
+def _covering_walk(graph: Digraph, start, end) -> list:
+    """`covering_walk` without its input checks, for a component known to be strong."""
+    adj = _out_lists(graph)
+    ordered = [(u, v) for u, successors in adj.items() for v in successors]
 
     def shortest_path(a, b) -> list:
         if a == b:
@@ -111,7 +114,7 @@ def representational_walk(graph: Digraph) -> list:
         else:
             exit_vertex = start
         sub = Digraph(members, cond.internal[i])
-        walk.extend(covering_walk(sub, start, exit_vertex))
+        walk.extend(_covering_walk(sub, start, exit_vertex))
     return walk
 
 

@@ -13,22 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .connectivity import (
-    bridges,
-    edge_connectivity,
-    scc_decomposition,
-    weakly_connected,
-)
+from .connectivity import bridges, edge_connectivity, weakly_connected
 from .counting import (
     DEFAULT_CAP,
     CapExceededError,
     CountTable,
     brute_force_strong_count,
     _check_cap,
+    _sweep,
 )
-from .factorization import split_points
-from .graphs import build_graph
-from .words import iter_canonical_words
 
 # Up to this length each word's exact minimum cut is also computed, by max
 # flow independent of `bridges`, and "cut >= 2" is checked against strong
@@ -116,13 +109,10 @@ def _verify_words(
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         histogram: dict[int, int] = {}
-        for word in iter_canonical_words(length, n):
+        for word, graph, components, k in _sweep(length, n):
             words += 1
-            graph = build_graph(word)
-            components = scc_decomposition(graph).count
             strong = components == 1
             bridge_list = bridges(graph)
-            k = len(split_points(word)) + 1
             weak = weakly_connected(graph)
             if not weak:
                 report.fail(f"{label} word={word.text()} detail=weakly-disconnected")

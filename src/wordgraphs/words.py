@@ -1,19 +1,19 @@
-"""Words over exact alphabets, canonical forms, and set partitions.
+"""Words over exact alphabets, and canonical words as set partitions.
 
 A word is a sequence of symbols where the alphabet is exact: symbols are
 dense 0-based integer ids and every id below the alphabet size occurs at
 least once.  Textual letters ("abca") are purely a presentation of those
 ids.  A canonical word is one whose ids first appear in increasing order
-(a restricted growth string); there is exactly one canonical word per set
-partition of the positions, which is what makes canonical enumeration a
-partition enumeration.
+(a restricted growth string).  Canonical words are the set partitions of
+the positions, symbol i naming the block of positions where it occurs, so
+canonical enumeration is partition enumeration.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class EmptyWordError(ValueError):
@@ -22,10 +22,6 @@ class EmptyWordError(ValueError):
 
 class InvalidWordError(ValueError):
     """Symbol ids are not dense 0-based integers."""
-
-
-class InvalidPartitionError(ValueError):
-    """Blocks overlap, leave gaps, or are empty."""
 
 
 _LETTERS_RE = re.compile(r"[a-z]+\Z")
@@ -143,60 +139,3 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
             stem.pop()
 
     yield from rec([], 0)
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of positions 1..length into non-empty blocks.
-
-    Blocks are kept sorted by their minimum element, so block i is the
-    position set of symbol i in the corresponding canonical word.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        if not blocks or any(not b for b in blocks):
-            raise InvalidPartitionError("blocks must be non-empty")
-        seen: set[int] = set()
-        total = 0
-        for b in blocks:
-            if b & seen:
-                raise InvalidPartitionError(f"blocks overlap on {sorted(b & seen)}")
-            seen |= b
-            total += len(b)
-        if seen != set(range(1, total + 1)):
-            raise InvalidPartitionError(
-                f"blocks must cover 1..{total} exactly, got {sorted(seen)}"
-            )
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
-
-    @property
-    def length(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-
-def word_to_partition(word: Word) -> SetPartition:
-    """Map a canonical word to the set partition of its 1-based positions."""
-    if not word.is_canonical:
-        raise InvalidWordError(f"word {word.letters!r} is not canonical")
-    blocks = [set() for _ in range(word.alphabet_size)]
-    for pos, c in enumerate(word.letters, start=1):
-        blocks[c].add(pos)
-    return SetPartition(tuple(frozenset(b) for b in blocks))
-
-
-def partition_to_word(partition: SetPartition | Iterable[Iterable[int]]) -> Word:
-    """Map a set partition back to its canonical word (inverse of word_to_partition)."""
-    if not isinstance(partition, SetPartition):
-        partition = SetPartition(tuple(frozenset(b) for b in partition))
-    letters = [0] * partition.length
-    for symbol, block in enumerate(partition.blocks):
-        for pos in block:
-            letters[pos - 1] = symbol
-    return Word(tuple(letters))

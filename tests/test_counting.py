@@ -3,9 +3,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import wordgraphs.counting
 from wordgraphs.connectivity import strongly_connected
 from wordgraphs.counting import (
     CapExceededError,
+    ComponentMismatchError,
     CountTable,
     bell,
     brute_force_strong_count,
@@ -172,6 +174,14 @@ class TestHistogram:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             scc_histogram(12, 3, cap=1000)
+
+    def test_component_mismatch_raises(self, monkeypatch):
+        real = wordgraphs.counting.split_points
+        monkeypatch.setattr(
+            "wordgraphs.counting.split_points", lambda word: [*real(word), word.length]
+        )
+        with pytest.raises(ComponentMismatchError):
+            scc_histogram(4, 2)
 
 
 class TestCsv:

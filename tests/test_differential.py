@@ -12,7 +12,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wordgraphs.connectivity import bridges, edge_connectivity  # noqa: E402
+from wordgraphs.connectivity import (  # noqa: E402
+    bridges,
+    edge_connectivity,
+    scc_decomposition,
+    weakly_connected,
+)
 from wordgraphs.graphs import Digraph  # noqa: E402
 
 MAX_VERTICES = 30
@@ -71,14 +76,43 @@ def test_bridges_match_networkx(g):
     assert {frozenset(e) for e in found} == expected
 
 
+def expected_cut(g):
+    w = weighted_graph(g)
+    if len(g.vertices) == 1:
+        return None
+    if not nx.is_connected(w):
+        return 0
+    return nx.stoer_wagner(w)[0]
+
+
+def mixed_labels(g):
+    """The same digraph with its odd vertices renamed to strings."""
+    name = {v: f"v{v}" if v % 2 else v for v in g.vertices}
+    return Digraph(
+        frozenset(name.values()), frozenset((name[u], name[v]) for u, v in g.edges)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(digraphs)
 def test_edge_connectivity_matches_stoer_wagner(g):
-    w = weighted_graph(g)
-    if len(g.vertices) == 1:
-        expected = None
-    elif not nx.is_connected(w):
-        expected = 0
-    else:
-        expected, _ = nx.stoer_wagner(w)
-    assert edge_connectivity(g) == expected
+    assert edge_connectivity(g) == expected_cut(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs)
+def test_mixed_labels_match_networkx(g):
+    # int and str labels do not compare, so every ordering must go through
+    # the library's type-aware sort key.
+    m = mixed_labels(g)
+    d = nx.DiGraph()
+    d.add_nodes_from(m.vertices)
+    d.add_edges_from(m.edges)
+    decomp = scc_decomposition(m)
+    assert set(decomp.components) == set(map(frozenset, nx.strongly_connected_components(d)))
+    # Topological order: no edge runs from a later component to an earlier one.
+    assert all(decomp.component_of(u) <= decomp.component_of(v) for u, v in m.edges)
+    assert weakly_connected(m) == nx.is_weakly_connected(d)
+    expected = {frozenset(e) for e in nx.bridges(multigraph(m))}
+    assert {frozenset(e) for e in bridges(m)} == expected
+    assert edge_connectivity(m) == expected_cut(m)

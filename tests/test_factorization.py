@@ -1,20 +1,17 @@
 import itertools
 
-import pytest
-
 from wordgraphs.connectivity import strongly_connected
-from wordgraphs.factorization import (
-    finest_disjoint_factorization,
-    is_irreducible,
-    split_points,
-)
+from wordgraphs.factorization import finest_disjoint_factorization, split_points
 from wordgraphs.graphs import build_graph
-from wordgraphs.words import (
-    InvalidPartitionError,
-    iter_canonical_words,
-    parse_word,
-    word_to_partition,
-)
+from wordgraphs.words import iter_canonical_words, parse_word
+
+
+def position_blocks(word):
+    """The set partition of a word's 1-based positions: one block per symbol."""
+    out = [set() for _ in range(word.alphabet_size)]
+    for pos, c in enumerate(word.letters, start=1):
+        out[c].add(pos)
+    return out
 
 
 def irreducible_oracle(blocks):
@@ -79,25 +76,18 @@ class TestFinestFactorization:
 
 
 class TestIrreducible:
-    def test_examples(self):
-        assert is_irreducible([{1, 4}, {2}, {3}])
-        assert not is_irreducible([{1, 2}, {3, 4}])
-        assert not is_irreducible([{1}, {2, 3}])
-
-    def test_malformed_partition(self):
-        with pytest.raises(InvalidPartitionError):
-            is_irreducible([{1, 2}, {2, 3}])
+    """A partition is irreducible exactly when its canonical word has no split point."""
 
     def test_matches_subset_oracle(self):
         for length in range(1, 7):
             for n in range(1, length + 1):
                 for w in iter_canonical_words(length, n):
-                    p = word_to_partition(w)
-                    assert is_irreducible(p) == irreducible_oracle(p.blocks)
+                    assert (not split_points(w)) == irreducible_oracle(position_blocks(w))
 
     def test_irreducible_iff_strong(self):
         for length in range(1, 7):
             for n in range(1, length + 1):
                 for w in iter_canonical_words(length, n):
                     strong = strongly_connected(build_graph(w))
-                    assert is_irreducible(word_to_partition(w)) == strong
+                    assert irreducible_oracle(position_blocks(w)) == strong
+                    assert (not split_points(w)) == strong

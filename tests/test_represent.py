@@ -1,5 +1,6 @@
 import pytest
 
+import wordgraphs.connectivity
 from wordgraphs.connectivity import weakly_connected
 from wordgraphs.graphs import Digraph, build_graph
 from wordgraphs.represent import (
@@ -162,6 +163,33 @@ class TestSynthesis:
             passes.append(edges.passes)
             assert walk_edges(walk) == g.edges
         assert passes[0] == passes[1]
+
+    def test_one_scc_decomposition_in_total(self, monkeypatch):
+        # The condensation already shows every component strong, so the
+        # per-component walks must not decompose them again.
+        real = wordgraphs.connectivity.scc_decomposition
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr("wordgraphs.connectivity.scc_decomposition", counting)
+        g = chain_graph(50)
+        assert walk_edges(representational_walk(g)) == g.edges
+        assert len(calls) == 1
+
+    def test_mixed_labels_round_trip(self):
+        # Two strong components joined by the bridge a -> b; 2 <-> c is antiparallel.
+        edges = {(0, 1), (1, "a"), ("a", 0), ("a", "b"), ("b", 2), (2, "c"), ("c", 2), ("c", "b")}
+        g = Digraph({0, 1, 2, "a", "b", "c"}, edges)
+        walk = representational_walk(g)
+        assert walk_edges(walk) == g.edges
+        assert set(walk) == g.vertices
+        # Labels sort by type name first, so every int comes before every str.
+        order = [0, 1, 2, "a", "b", "c"]
+        expected = {(order.index(u), order.index(v)) for u, v in edges}
+        assert build_graph(synthesize_word(g)) == Digraph(range(6), expected)
 
     def test_round_trip_over_words(self):
         for length in range(1, 6):

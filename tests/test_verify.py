@@ -1,6 +1,7 @@
 import pytest
 
 import wordgraphs.connectivity
+import wordgraphs.counting
 from wordgraphs.counting import CountTable
 from wordgraphs.verify import run_verification
 
@@ -44,6 +45,19 @@ def test_corrupted_memo_is_caught_and_named():
     assert "l=5 n=3" in failure
     # Checks stop at the first counterexample.
     assert report.lines[-1] == failure
+
+
+def test_component_mismatch_is_caught_and_named(monkeypatch):
+    # One extra split point makes the factor count disagree with the graph.
+    real = wordgraphs.counting.split_points
+    monkeypatch.setattr(
+        "wordgraphs.counting.split_points", lambda word: [*real(word), word.length]
+    )
+    report = run_verification(6)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("check=equivalence l=")
+    assert report.lines[-1] == report.failures[0]
 
 
 def test_alphabet_bound_restricts_checks():

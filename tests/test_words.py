@@ -5,15 +5,11 @@ import pytest
 from wordgraphs.counting import stirling2
 from wordgraphs.words import (
     EmptyWordError,
-    InvalidPartitionError,
     InvalidWordError,
-    SetPartition,
     Word,
     canonicalize,
     iter_canonical_words,
     parse_word,
-    partition_to_word,
-    word_to_partition,
 )
 
 
@@ -130,48 +126,3 @@ class TestIteration:
             list(iter_canonical_words(0, 1))
         with pytest.raises(ValueError):
             list(iter_canonical_words(3, 0))
-
-
-class TestPartitions:
-    def test_word_to_partition(self):
-        assert word_to_partition(parse_word("abca")).blocks == (
-            frozenset({1, 4}),
-            frozenset({2}),
-            frozenset({3}),
-        )
-        assert word_to_partition(parse_word("aabc")).blocks == (
-            frozenset({1, 2}),
-            frozenset({3}),
-            frozenset({4}),
-        )
-        assert word_to_partition(parse_word("aa")).blocks == (frozenset({1, 2}),)
-
-    def test_partition_to_word(self):
-        assert partition_to_word([{1, 4}, {2}, {3}]) == parse_word("abca")
-        assert partition_to_word([{1, 3}, {2, 4}]) == parse_word("abab")
-
-    def test_overlap_rejected(self):
-        with pytest.raises(InvalidPartitionError):
-            partition_to_word([{1, 2}, {2, 3}])
-
-    def test_gap_rejected(self):
-        with pytest.raises(InvalidPartitionError):
-            partition_to_word([{1}, {3}])
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(InvalidPartitionError):
-            SetPartition((frozenset(), frozenset({1})))
-
-    def test_blocks_sorted_by_minimum(self):
-        p = SetPartition((frozenset({2, 3}), frozenset({1})))
-        assert p.blocks == (frozenset({1}), frozenset({2, 3}))
-
-    def test_non_canonical_word_rejected(self):
-        with pytest.raises(InvalidWordError):
-            word_to_partition(Word((1, 0)))
-
-    def test_round_trip_exhaustive(self):
-        for length in range(1, 9):
-            for n in range(1, length + 1):
-                for w in iter_canonical_words(length, n):
-                    assert partition_to_word(word_to_partition(w)) == w
