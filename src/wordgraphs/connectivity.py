@@ -41,62 +41,52 @@ class SccDecomposition:
     def count(self) -> int:
         return len(self.components)
 
-    def component_of(self, vertex) -> int:
-        return self.component_index[vertex]
-
 
 def scc_decomposition(graph: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative, with components topologically sorted."""
+    """Kosaraju's two passes, iterative, with components topologically sorted.
+
+    A depth-first search over successor lists, roots in `_sort_key` order,
+    records the order in which vertices finish.  A walk over predecessor lists
+    from the latest finisher not yet placed reaches exactly its component, a
+    source of what remains, so components come out in topological order.
+    """
     _require_vertices(graph)
     adj = _out_lists(graph)
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[frozenset] = []
-    counter = 0
-
+    seen: set = set()
+    finished: list = []
     for root in adj:
-        if root in index:
+        if root in seen:
             continue
+        seen.add(root)
         work = [(root, iter(adj[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
         while work:
-            v, neighbours = work[-1]
-            advanced = False
-            for w in neighbours:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
+            v, successors = work[-1]
+            for w in successors:
+                if w not in seen:
+                    seen.add(w)
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
+            else:
+                work.pop()
+                finished.append(v)
 
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    component_index = {v: i for i, comp in enumerate(components) for v in comp}
+    predecessors: dict = {v: [] for v in adj}
+    for u, v in graph.edges:
+        predecessors[v].append(u)
+    component_index: dict = {}
+    components: list[frozenset] = []
+    for root in reversed(finished):
+        if root in component_index:
+            continue
+        i = len(components)
+        component_index[root] = i
+        members = [root]
+        for v in members:
+            for u in predecessors[v]:
+                if u not in component_index:
+                    component_index[u] = i
+                    members.append(u)
+        components.append(frozenset(members))
     return SccDecomposition(tuple(components), component_index)
 
 
@@ -223,21 +213,16 @@ def _max_flow(capacity: dict, source, sink, limit: int) -> int:
 class Condensation:
     """Quotient of a digraph by its strong components.
 
-    Component indices follow the topological order of the decomposition, so
-    every quotient edge goes from a lower index to a higher one and the
-    quotient is acyclic by construction.  `internal[i]` holds the original
-    edges inside component i and `crossing` the original edges behind each
-    quotient edge; `multiplicity` counts the latter.
+    Component indices follow the topological order of the decomposition.
+    `internal[i]` holds the original edges inside component i, and
+    `crossing` maps each quotient edge (i, j) to the original edges behind
+    it, so its keys are the quotient's edges, each with i < j, and the size
+    of each entry is that edge's multiplicity.
     """
 
     components: tuple[frozenset, ...]
-    graph: Digraph
     internal: tuple[frozenset, ...]
     crossing: Mapping[tuple[int, int], frozenset]
-
-    @property
-    def multiplicity(self) -> dict[tuple[int, int], int]:
-        return {pair: len(edges) for pair, edges in self.crossing.items()}
 
 
 def condensation(graph: Digraph) -> Condensation:
@@ -250,10 +235,8 @@ def condensation(graph: Digraph) -> Condensation:
             internal[cu].add((u, v))
         else:
             crossing.setdefault((cu, cv), set()).add((u, v))
-    quotient = Digraph(frozenset(range(decomp.count)), frozenset(crossing))
     return Condensation(
         decomp.components,
-        quotient,
         tuple(map(frozenset, internal)),
         {pair: frozenset(edges) for pair, edges in crossing.items()},
     )

@@ -172,10 +172,10 @@ def family_cardinality(length: int, alphabet_size: int) -> int:
 
 
 def _check_cap(length: int, cap: int | None) -> None:
-    if cap is not None and _SHARED.bell(length) > cap:
-        raise CapExceededError(
-            f"enumerating length {length} means {_SHARED.bell(length)} words, over the cap {cap}"
-        )
+    """Bell numbers never decrease, so stop at the first one past the cap
+    rather than computing Bell(length) itself, which costs O(length^2)."""
+    if cap is not None and any(_SHARED.bell(m) > cap for m in range(length + 1)):
+        raise CapExceededError(f"enumerating length {length} means more words than the cap {cap}")
 
 
 def _strong_counts_by_alphabet(length: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .connectivity import bridges, edge_connectivity, weakly_connected
 from .counting import (
@@ -43,16 +44,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def ok(self, text: str) -> None:
-        self.lines.append(f"{text} status=ok")
 
-    def skip(self, text: str, reason: str) -> None:
-        self.lines.append(f"{text} status=skipped reason={reason}")
-
-    def fail(self, text: str) -> None:
-        line = f"{text} status=fail"
-        self.lines.append(line)
-        self.failures.append(line)
+# Each check yields (text, status) pairs.  The runner stops at the first
+# FAIL and never resumes that check, so a check need not return after one.
+OK = "ok"
+FAIL = "fail"
+SKIPPED = "skipped reason=cap"
+Check = Iterator[tuple[str, str]]
 
 
 def _family_count_by_inclusion_exclusion(length: int, alphabet_size: int) -> int:
@@ -62,48 +60,35 @@ def _family_count_by_inclusion_exclusion(length: int, alphabet_size: int) -> int
 
 
 def _verify_recurrence(
-    length: int, max_alphabet: int, table: CountTable, cap: int | None, report: VerificationReport
-) -> None:
+    length: int, max_alphabet: int, table: CountTable, cap: int | None
+) -> Check:
     for n in range(1, min(length, max_alphabet) + 1):
         label = f"check=recurrence l={length} n={n}"
         try:
             actual = brute_force_strong_count(length, n, cap)
         except CapExceededError:
-            report.skip(label, "cap")
+            yield label, SKIPPED
             continue
         expected = table.strong_partition_count(length, n)
         text = f"{label} recurrence={expected} enumerated={actual}"
-        if expected == actual:
-            report.ok(text)
-        else:
-            report.fail(text)
-            return
+        yield text, OK if expected == actual else FAIL
 
 
-def _verify_family(
-    length: int, max_alphabet: int, table: CountTable, report: VerificationReport
-) -> None:
+def _verify_family(length: int, max_alphabet: int, table: CountTable, cap: int | None) -> Check:
     for n in range(1, min(length, max_alphabet) + 1):
-        label = f"check=family l={length} n={n}"
         expected = table.family_cardinality(length, n)
         actual = _family_count_by_inclusion_exclusion(length, n)
-        text = f"{label} formula={expected} enumerated={actual}"
-        if expected == actual:
-            report.ok(text)
-        else:
-            report.fail(text)
-            return
+        text = f"check=family l={length} n={n} formula={expected} enumerated={actual}"
+        yield text, OK if expected == actual else FAIL
 
 
-def _verify_words(
-    length: int, max_alphabet: int, table: CountTable, cap: int | None, report: VerificationReport
-) -> None:
+def _verify_words(length: int, max_alphabet: int, table: CountTable, cap: int | None) -> Check:
     """Per-word structural checks plus histogram totals for one length."""
     label = f"check=equivalence l={length}"
     try:
         _check_cap(length, cap)
     except CapExceededError:
-        report.skip(label, "cap")
+        yield label, SKIPPED
         return
     exact_cut = length <= FULL_CUT_LENGTH
     words = 0
@@ -113,46 +98,30 @@ def _verify_words(
             words += 1
             strong = components == 1
             bridge_list = bridges(graph)
-            weak = weakly_connected(graph)
-            if not weak:
-                report.fail(f"{label} word={word.text()} detail=weakly-disconnected")
-                return
+            if not weakly_connected(graph):
+                yield f"{label} word={word.text()} detail=weakly-disconnected", FAIL
             two_edge_connected = not bridge_list
             if n >= 2 and exact_cut:
                 two_edge_connected = edge_connectivity(graph) >= 2
             if not (strong == two_edge_connected == (k == 1)):
-                report.fail(
-                    f"{label} word={word.text()} "
-                    f"detail=strong:{strong},two-edge:{two_edge_connected},factors:{k}"
-                )
-                return
+                detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
+                yield f"{label} word={word.text()} detail={detail}", FAIL
             if len(bridge_list) != k - 1:
-                report.fail(
-                    f"{label} word={word.text()} detail=bridges:{len(bridge_list)},factors:{k}"
-                )
-                return
+                detail = f"bridges:{len(bridge_list)},factors:{k}"
+                yield f"{label} word={word.text()} detail={detail}", FAIL
             if components != k:
-                report.fail(
-                    f"{label} word={word.text()} detail=components:{components},factors:{k}"
-                )
-                return
+                detail = f"components:{components},factors:{k}"
+                yield f"{label} word={word.text()} detail={detail}", FAIL
             histogram[components] = histogram.get(components, 0) + 1
-        total = sum(histogram.values())
-        if total != table.stirling2(length, n):
-            report.fail(
-                f"check=histogram l={length} n={n} total={total} "
-                f"stirling={table.stirling2(length, n)}"
-            )
-            return
-        strong_bucket = histogram.get(1, 0)
-        if strong_bucket != table.strong_partition_count(length, n):
-            report.fail(
-                f"check=histogram l={length} n={n} strong={strong_bucket} "
-                f"recurrence={table.strong_partition_count(length, n)}"
-            )
-            return
-    report.ok(f"{label} words={words} cut={'exact' if exact_cut else 'deletion'}")
-    report.ok(f"check=histogram l={length}")
+        total, stirling = sum(histogram.values()), table.stirling2(length, n)
+        if total != stirling:
+            yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", FAIL
+        strong_bucket, expected = histogram.get(1, 0), table.strong_partition_count(length, n)
+        if strong_bucket != expected:
+            text = f"check=histogram l={length} n={n} strong={strong_bucket} recurrence={expected}"
+            yield text, FAIL
+    yield f"{label} words={words} cut={'exact' if exact_cut else 'deletion'}", OK
+    yield f"check=histogram l={length}", OK
 
 
 def run_verification(
@@ -176,13 +145,11 @@ def run_verification(
         table = CountTable()
     report = VerificationReport(max_length)
     for length in range(1, max_length + 1):
-        _verify_recurrence(length, max_alphabet, table, cap, report)
-        if not report.passed:
-            break
-        _verify_family(length, max_alphabet, table, report)
-        if not report.passed:
-            break
-        _verify_words(length, max_alphabet, table, cap, report)
-        if not report.passed:
-            break
+        for check in (_verify_recurrence, _verify_family, _verify_words):
+            for text, status in check(length, max_alphabet, table, cap):
+                line = f"{text} status={status}"
+                report.lines.append(line)
+                if status == FAIL:
+                    report.failures.append(line)
+                    return report
     return report

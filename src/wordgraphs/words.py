@@ -98,6 +98,8 @@ def parse_word(text: str) -> Word:
         symbols = text.split(",")
         if any(not tok.isdigit() for tok in symbols):
             raise InvalidWordError(f"malformed token list: {text!r}")
+        # Tokens are decimal ids, so "01" and "1" name the same symbol.
+        symbols = [tok.lstrip("0") or "0" for tok in symbols]
     else:
         raise InvalidWordError(f"unsupported characters in {text!r}")
     ids: dict[str, int] = {}
@@ -124,18 +126,28 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
     """
     if length < 1 or alphabet_size < 1:
         raise ValueError("length and alphabet size must be at least 1")
-
-    def rec(stem: list[int], used: int) -> Iterator[Word]:
-        remaining = length - len(stem)
-        if used + remaining < alphabet_size:
+    n = alphabet_size
+    if length < n:
+        return
+    letters = [0] * length
+    used = [0] * length  # used[j]: symbols among letters[: j + 1]
+    i, c, u = 0, 0, 1
+    while True:
+        # Set letters[i] to c, leaving u symbols used, and refill the tail with
+        # its least completion: zeros, then the unused symbols in order.
+        if i == length - 1:
+            letters[i], used[i] = c, u
+        else:
+            fill = length - 1 - i - (n - u)
+            letters[i:] = [c] + [0] * fill + list(range(u, n))
+            used[i:] = [u] * (1 + fill) + list(range(u + 1, n + 1))
+        yield Word(tuple(letters))
+        # Raise the rightmost letter that can grow and leave room for the rest.
+        for i in range(length - 1, 0, -1):
+            c = letters[i] + 1
+            p = used[i - 1]
+            u = p if p > c else c + 1
+            if c < n and c <= p and u + length - 1 - i >= n:
+                break
+        else:
             return
-        if remaining == 0:
-            if used == alphabet_size:
-                yield Word(tuple(stem))
-            return
-        for c in range(min(used + 1, alphabet_size)):
-            stem.append(c)
-            yield from rec(stem, max(used, c + 1))
-            stem.pop()
-
-    yield from rec([], 0)

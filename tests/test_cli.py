@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import wordgraphs.connectivity
 from wordgraphs.cli import main
@@ -242,6 +243,13 @@ class TestHistogram:
             capsys, "histogram", "--length", "12", "--alphabet", "3", "--cap", "100"
         )
         assert code == 2
+        # Bell(2000) has over 4,300 digits: neither computed nor printed.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "histogram", "--length", "2000", "--alphabet", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumerating length 2000 means more words than the cap 10000000\n"
 
 class TestHarnessContract:
     def test_no_command_is_usage_error(self, capsys):

@@ -151,6 +151,9 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_strong_count(12, 3, cap=1000)
         assert brute_force_strong_count(5, 3, cap=None) == 9
+        # The guard stops growing Bell numbers at the first one past the cap.
+        with pytest.raises(CapExceededError):
+            brute_force_strong_count(2000, 2)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

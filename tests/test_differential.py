@@ -111,7 +111,7 @@ def test_mixed_labels_match_networkx(g):
     decomp = scc_decomposition(m)
     assert set(decomp.components) == set(map(frozenset, nx.strongly_connected_components(d)))
     # Topological order: no edge runs from a later component to an earlier one.
-    assert all(decomp.component_of(u) <= decomp.component_of(v) for u, v in m.edges)
+    assert all(decomp.component_index[u] <= decomp.component_index[v] for u, v in m.edges)
     assert weakly_connected(m) == nx.is_weakly_connected(d)
     expected = {frozenset(e) for e in nx.bridges(multigraph(m))}
     assert {frozenset(e) for e in bridges(m)} == expected

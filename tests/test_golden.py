@@ -1,9 +1,11 @@
-"""Pinned witness words on a fixed set of graphs.
+"""Pinned witness words on a fixed set of graphs, and pinned `verify` reports.
 
 `synthesize_word` and `wordgraphs represent` are deterministic, so their
 exact output is part of the contract, not only the graph it rebuilds.  The
 expected values below pin that output; long ones are pinned by length and
-SHA-256 digest.
+SHA-256 digest.  `wordgraphs verify` reports are pinned the same way, by
+exit code, line count and digest, so the order and format of every line
+is kept, not only the fields a parser reads.
 """
 
 import hashlib
@@ -118,3 +120,32 @@ def test_chain_has_300_components():
 def test_random_graphs_are_strong():
     assert strongly_connected(GRAPHS["strong-30"])
     assert strongly_connected(GRAPHS["strong-200"])
+
+
+# verify argv: (exit code, stdout line count, stdout SHA-256)
+VERIFY_EXPECTED = {
+    ("--max-length", "8"): (
+        0,
+        89,
+        "fa8e029b326213f05c9f9ed9a0efb1d0449527f30eb6430e4106909b0895c244",
+    ),
+    ("--max-length", "13", "--cap", "1000"): (
+        0,
+        203,
+        "73691f0f7509fde0c6ec2ec144a060bcb438a0d5c91df59487674fe6b0dc5cfb",
+    ),
+    ("--max-length", "6", "--seed-count", "5:3:8"): (
+        3,
+        32,
+        "1ddfbb92e00a70caa47a6d3330450be51202502131fbbac93ca16508ede90816",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_EXPECTED))
+def test_verify_output_is_pinned(argv, capsys):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert (code, captured.out.count("\n"), digest) == VERIFY_EXPECTED[argv]

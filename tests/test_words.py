@@ -43,6 +43,9 @@ class TestParse:
         assert parse_word("0,1,2,0").letters == (0, 1, 2, 0)
         assert parse_word("5,3,5").letters == (0, 1, 0)
         assert parse_word("7").letters == (0,)
+        # Decimal ids: leading zeros do not make a new id.
+        assert parse_word("1,01,001").letters == (0, 0, 0)
+        assert parse_word("0,00,10").letters == (0, 0, 1)
 
     @pytest.mark.parametrize("text", ["ab c", "ABC", "a-b", ",", "1,,2", "a,b"])
     def test_unsupported_text(self, text):
@@ -107,6 +110,9 @@ class TestIteration:
         for n in range(1, 6):
             words = list(iter_canonical_words(n, n))
             assert words == [Word(tuple(range(n)))]
+        # Far beyond the recursion limit: enumeration is iterative.
+        assert list(iter_canonical_words(1500, 1500)) == [Word(tuple(range(1500)))]
+        assert list(iter_canonical_words(1500, 1)) == [Word((0,) * 1500)]
 
     def test_counts_match_stirling(self):
         for length in range(1, 11):
@@ -115,8 +121,10 @@ class TestIteration:
                 assert count == stirling2(length, n), (length, n)
 
     def test_lexicographic_and_unique(self):
-        words = [w.letters for w in iter_canonical_words(5, 3)]
-        assert words == sorted(set(words))
+        for length in range(1, 9):
+            for n in range(1, length + 1):
+                words = [w.letters for w in iter_canonical_words(length, n)]
+                assert words == sorted(set(words)), (length, n)
 
     def test_short_length_is_empty(self):
         assert list(iter_canonical_words(2, 3)) == []
