@@ -25,7 +25,6 @@ from .counting import (
     strong_word_count,
 )
 from .factorization import (
-    DisjointFactorization,
     finest_disjoint_factorization,
     split_points,
 )
@@ -51,7 +50,6 @@ from .words import (
     EmptyWordError,
     InvalidWordError,
     Word,
-    canonicalize,
     iter_canonical_words,
     parse_word,
     symbol_name,
@@ -80,7 +78,6 @@ __all__ = [
     "stirling2",
     "strong_partition_count",
     "strong_word_count",
-    "DisjointFactorization",
     "finest_disjoint_factorization",
     "split_points",
     "Digraph",
@@ -101,7 +98,6 @@ __all__ = [
     "EmptyWordError",
     "InvalidWordError",
     "Word",
-    "canonicalize",
     "iter_canonical_words",
     "parse_word",
     "symbol_name",

@@ -30,7 +30,7 @@ from .factorization import finest_disjoint_factorization
 from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
-from .words import letters_text, parse_word, symbol_name
+from .words import Word, letters_text, parse_word, symbol_name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,11 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="render a word's graph")
-    p.add_argument("word")
+    p.add_argument("word", help="the word, or - to read it from standard input")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
 
     p = sub.add_parser("check", help="connectivity report for a word (exit 0 iff strong)")
-    p.add_argument("word")
+    p.add_argument("word", help="the word, or - to read it from standard input")
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("count", help="count strongly connected words")
@@ -81,8 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_word(arg: str) -> Word:
+    """Parse the word argument; `-` reads it from stdin, which has no argv size cap."""
+    if arg == "-":
+        arg = sys.stdin.read().removesuffix("\n")
+    return parse_word(arg)
+
+
 def _cmd_build(args) -> int:
-    graph = letter_labeled(build_graph(parse_word(args.word)))
+    graph = letter_labeled(build_graph(_read_word(args.word)))
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
@@ -91,12 +98,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    word = parse_word(args.word)
+    word = _read_word(args.word)
     graph = build_graph(word)
     decomp = scc_decomposition(graph)
     strong = decomp.count == 1
     cut = edge_connectivity(graph)
-    factorization = finest_disjoint_factorization(word)
+    factors = finest_disjoint_factorization(word)
     n = word.alphabet_size
     bridge_text = ";".join(
         f"{symbol_name(u, n)}->{symbol_name(v, n)}" for u, v in bridges(graph)
@@ -106,15 +113,15 @@ def _cmd_check(args) -> int:
     print(f"weak={'true' if weakly_connected(graph) else 'false'}")
     print(f"lambda={'n/a' if cut is None else cut}")
     print(f"bridges={bridge_text}")
-    print("factors=" + "|".join(letters_text(f, n) for f in factorization.factors))
-    print(f"k={factorization.cardinality}")
+    print("factors=" + "|".join(letters_text(f, n) for f in factors))
+    print(f"k={len(factors)}")
     print(f"sccs={decomp.count}")
     if args.verbose:
         if strong:
             print("# every symbol can reach every other symbol")
         else:
             print(
-                f"# the word splits into {factorization.cardinality} "
+                f"# the word splits into {len(factors)} "
                 "alphabet-disjoint factors, one per strong component"
             )
     return 0 if strong else 1

@@ -14,22 +14,7 @@ word has no split point: `not split_points(word)`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .words import Word
-
-
-@dataclass(frozen=True)
-class DisjointFactorization:
-    """The finest split of a word into contiguous, alphabet-disjoint factors."""
-
-    word: Word
-    split_points: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.factors)
 
 
 def split_points(word: Word) -> list[int]:
@@ -48,11 +33,9 @@ def split_points(word: Word) -> list[int]:
     return out
 
 
-def finest_disjoint_factorization(word: Word) -> DisjointFactorization:
-    """Cut the word at every split point."""
-    points = tuple(split_points(word))
-    bounds = (0, *points, word.length)
-    factors = tuple(
+def finest_disjoint_factorization(word: Word) -> tuple[tuple[int, ...], ...]:
+    """Cut the word at every split point: its finest alphabet-disjoint factors."""
+    bounds = (0, *split_points(word), word.length)
+    return tuple(
         word.letters[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)
     )
-    return DisjointFactorization(word, points, factors)

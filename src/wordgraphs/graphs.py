@@ -43,14 +43,6 @@ class Digraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def build_graph(word: Word) -> Digraph:
     """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs."""
@@ -62,7 +54,7 @@ def build_graph(word: Word) -> Digraph:
 
 def letter_labeled(graph: Digraph) -> Digraph:
     """Relabel a word graph's symbol ids with their presentation text."""
-    n = graph.vertex_count
+    n = len(graph.vertices)
     if graph.vertices != frozenset(range(n)):
         raise InvalidGraphError("expected dense integer symbol ids")
     name = {v: symbol_name(v, n) for v in graph.vertices}
@@ -133,8 +125,8 @@ def to_json(graph: Digraph) -> str:
 def from_json(text: str) -> Digraph:
     """Parse the JSON interchange form, rejecting malformed documents.
 
-    Labels must be non-empty and free of ',' so that a comma-joined walk
-    reads back unambiguously.
+    Labels must be non-empty, printable and free of ',' so that a walk
+    prints on one line and a comma-joined walk reads back unambiguously.
     """
     try:
         doc = json.loads(text)
@@ -146,8 +138,8 @@ def from_json(text: str) -> Digraph:
     edges = doc["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InvalidGraphError("vertices must be an array of strings")
-    if any(v == "" or "," in v for v in vertices):
-        raise InvalidGraphError("vertex labels must be non-empty and contain no ','")
+    if any(v == "" or "," in v or not v.isprintable() for v in vertices):
+        raise InvalidGraphError("vertex labels must be non-empty, printable and contain no ','")
     if len(set(vertices)) != len(vertices):
         raise InvalidGraphError("duplicate vertex")
     if not isinstance(edges, list):

@@ -36,7 +36,6 @@ FULL_CUT_LENGTH = 7
 class VerificationReport:
     """Outcome of a verification run: one line per check, failures separate."""
 
-    max_length: int
     lines: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
@@ -143,7 +142,7 @@ def run_verification(
         raise ValueError("max alphabet must be at least 1")
     if table is None:
         table = CountTable()
-    report = VerificationReport(max_length)
+    report = VerificationReport()
     for length in range(1, max_length + 1):
         for check in (_verify_recurrence, _verify_family, _verify_words):
             for text, status in check(length, max_alphabet, table, cap):

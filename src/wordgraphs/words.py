@@ -4,9 +4,11 @@ A word is a sequence of symbols where the alphabet is exact: symbols are
 dense 0-based integer ids and every id below the alphabet size occurs at
 least once.  Textual letters ("abca") are purely a presentation of those
 ids.  A canonical word is one whose ids first appear in increasing order
-(a restricted growth string).  Canonical words are the set partitions of
-the positions, symbol i naming the block of positions where it occurs, so
-canonical enumeration is partition enumeration.
+(a restricted growth string).  `parse_word` numbers symbols by first
+occurrence, so `parse_word(word.text())` is a word's canonical form.
+Canonical words are the set partitions of the positions, symbol i naming
+the block of positions where it occurs, so canonical enumeration is
+partition enumeration.
 """
 
 from __future__ import annotations
@@ -52,16 +54,6 @@ class Word:
     def alphabet_size(self) -> int:
         return len(set(self.letters))
 
-    @property
-    def is_canonical(self) -> bool:
-        """True when ids first occur in increasing order (restricted growth)."""
-        high = -1
-        for c in self.letters:
-            if c > high + 1:
-                return False
-            high = max(high, c)
-        return True
-
     def text(self) -> str:
         """Presentation form: letters for alphabets up to 26, else comma-separated ids."""
         return letters_text(self.letters, self.alphabet_size)
@@ -105,16 +97,6 @@ def parse_word(text: str) -> Word:
     ids: dict[str, int] = {}
     letters = tuple(ids.setdefault(s, len(ids)) for s in symbols)
     return Word(letters)
-
-
-def canonicalize(word: Word) -> Word:
-    """Relabel symbols in first-occurrence order.
-
-    Preserves length, alphabet size, and the equality pattern between
-    positions; idempotent.
-    """
-    ids: dict[int, int] = {}
-    return Word(tuple(ids.setdefault(c, len(ids)) for c in word.letters))
 
 
 def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import time
 
 import wordgraphs.connectivity
@@ -11,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_with_stdin(stdin, *argv):
+    """The CLI in a fresh interpreter, fed `stdin`."""
+    return subprocess.run(
+        [sys.executable, "-m", "wordgraphs", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+    )
 
 class TestBuild:
     def test_json(self, capsys):
@@ -35,6 +47,11 @@ class TestBuild:
     def test_unknown_format(self, capsys):
         code, out, err = run(capsys, "build", "ab", "--format", "xml")
         assert code == 2
+
+    def test_word_from_stdin(self, capsys):
+        piped = run_with_stdin("abca\n", "build", "-")
+        code, out, err = run(capsys, "build", "abca")
+        assert (piped.returncode, piped.stdout, piped.stderr) == (code, out, err)
 
 class TestCheck:
     def test_strong_word(self, capsys):
@@ -97,6 +114,14 @@ class TestCheck:
             calls.clear()
             run(capsys, "check", word)
             assert len(calls) == 1, word
+
+    def test_word_from_stdin_beyond_the_argv_limit(self):
+        # One argv string is capped at 128 KiB on Linux; stdin has no cap.
+        word = "ab" * 99_999 + "cd"
+        proc = run_with_stdin(word + "\n", "check", "-")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert f"word={word}" in proc.stdout.splitlines()
 
 class TestCount:
     def test_word_count(self, capsys):
@@ -222,6 +247,13 @@ class TestRepresent:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_unprintable_label_is_input_error(self, capsys, tmp_path):
+        doc = '{"vertices":["a\\nb","c"],"edges":[["a\\nb","c"],["c","a\\nb"]]}'
+        code, out, err = run(capsys, "represent", "--input", self.write(tmp_path, doc))
+        assert code == 2
+        assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 class TestHistogram:

@@ -2,8 +2,10 @@
 
 `cli.main` runs in process with its streams captured by `redirect_stdout`
 and `redirect_stderr`, since hypothesis rejects function-scoped fixtures
-such as capsys.  Whatever the input, main returns 0, 1 or 2 without
-raising, and writes nothing to stderr unless it returns 2.
+such as capsys.  Standard input is empty, so a fuzzed word `-` reads an
+empty word instead of waiting on a terminal.  Whatever the input, main
+returns 0, 1 or 2 without raising, and writes nothing to stderr unless it
+returns 2.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -52,7 +55,8 @@ def graph_documents(draw):
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        with mock.patch("sys.stdin", io.StringIO()):
+            code = main(argv)
     assert code in (0, 1, 2)
     if code != 2:
         assert err.getvalue() == ""
@@ -69,6 +73,7 @@ def run(argv):
 )
 @example("[" * 200_000)
 @example('{"vertices":["a,b","c",""],"edges":[["a,b","c"],["c",""],["","a,b"]]}')
+@example('{"vertices":["a\\nb","c"],"edges":[["a\\nb","c"],["c","a\\nb"]]}')
 def test_represent_keeps_the_contract(document):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graph.json")

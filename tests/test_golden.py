@@ -1,11 +1,12 @@
-"""Pinned witness words on a fixed set of graphs, and pinned `verify` reports.
+"""Pinned witness words on a fixed set of graphs, and pinned CLI reports.
 
 `synthesize_word` and `wordgraphs represent` are deterministic, so their
 exact output is part of the contract, not only the graph it rebuilds.  The
 expected values below pin that output; long ones are pinned by length and
-SHA-256 digest.  `wordgraphs verify` reports are pinned the same way, by
-exit code, line count and digest, so the order and format of every line
-is kept, not only the fields a parser reads.
+SHA-256 digest.  The reports of `verify`, `check`, `build`, `table`,
+`histogram` and `count` are pinned the same way, by exit code, line count
+and digest, so the order and format of every line is kept, not only the
+fields a parser reads.
 """
 
 import hashlib
@@ -149,3 +150,77 @@ def test_verify_output_is_pinned(argv, capsys):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert (code, captured.out.count("\n"), digest) == VERIFY_EXPECTED[argv]
+
+
+COMMA_30 = ",".join(str(i) for i in range(30)) + ",0"
+COMMA_28 = ",".join(str(i) for i in range(28)) + ",0,5,27"
+
+# argv: (exit code, stdout line count, stdout SHA-256)
+CLI_EXPECTED = {
+    ("check", "abcb", "--verbose"): (
+        1,
+        9,
+        "26ac2d37134af8818b804970cefefde6b7a6b3ffaf810e4b07b44df16bd8c5dc",
+    ),
+    ("check", COMMA_30): (
+        0,
+        8,
+        "bdf201b624e86e2e06bd8288cecda42a6dc8467ebb6b64c4f38be98871162abb",
+    ),
+    ("build", "abcab", "--format", "dot"): (
+        0,
+        8,
+        "063c22ad40215c37ad6e2d8af8a661a3397baecd67e063d91d71a0f19ea31b84",
+    ),
+    ("build", "abcab", "--format", "json"): (
+        0,
+        1,
+        "442fc4e8ff1fab3d2aad6605352c2e50acf61bc0ed8fedd092c928a6827c909e",
+    ),
+    ("build", COMMA_28, "--format", "dot"): (
+        0,
+        60,
+        "8040c4fab8dc8960508d3d412be966b841c602c3d2feecff8b7fe795cf5c2e83",
+    ),
+    ("table", "--max-length", "60", "--max-alphabet", "60"): (
+        0,
+        1831,
+        "515c4d7f0360983ac16eeb2f38a586b88dfb12eae676d339587ecf93b53804a9",
+    ),
+    ("histogram", "--length", "9", "--alphabet", "4"): (
+        0,
+        4,
+        "9a708aecee8023284442796592663f19022e20261dca22f9333e83fcf7dd3c1a",
+    ),
+    ("histogram", "--length", "10", "--alphabet", "3"): (
+        0,
+        3,
+        "a923ebae14953496951cc85d5ecc26c87b964a4e1d7b0802cc41d40540501a02",
+    ),
+    ("histogram", "--length", "8", "--alphabet", "5"): (
+        0,
+        5,
+        "d3b49adbc3b296f2e7923d63c29987f5b52ebde415d6a3225e418f99447427c5",
+    ),
+    ("count", "--length", "60", "--alphabet", "12"): (
+        0,
+        1,
+        "6eb893ae5f4d643770a18c2529d37d3d627aa910dcf30fb8d0f1cb36f442d42c",
+    ),
+    ("count", "--length", "60", "--alphabet", "12", "--partitions"): (
+        0,
+        1,
+        "e59eeaa9c75e620665d26846294c7a58452107a5ac9e548b670b9763f4e4eb1f",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(CLI_EXPECTED), ids=lambda argv: " ".join(argv)[:48]
+)
+def test_cli_output_is_pinned(argv, capsys):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert (code, captured.out.count("\n"), digest) == CLI_EXPECTED[argv]

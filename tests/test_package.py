@@ -1,0 +1,28 @@
+"""The package's public surface: `__all__` and the names bound beside it.
+
+A name dropped from a module but left in `__all__` breaks
+`from wordgraphs import *`; a name imported into the package but left out
+of `__all__` is public surface nobody declared.  Both fail here.
+"""
+
+import types
+
+import wordgraphs
+
+
+def test_every_exported_name_resolves_once():
+    assert len(wordgraphs.__all__) == len(set(wordgraphs.__all__))
+    for name in wordgraphs.__all__:
+        assert hasattr(wordgraphs, name), name
+    namespace: dict = {}
+    exec("from wordgraphs import *", namespace)
+    assert set(wordgraphs.__all__) <= set(namespace)
+
+
+def test_every_public_name_is_exported():
+    public = {
+        name
+        for name, value in vars(wordgraphs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(wordgraphs.__all__)
