@@ -3,9 +3,11 @@
 Edge connectivity is taken on the underlying undirected multigraph: every
 directed edge contributes one undirected edge, so an antiparallel pair
 contributes two parallel edges and can never be severed by a single
-deletion.  Under that reading a bridge is an edge whose deletion increases
-the number of weak components, and word graphs are strongly connected
-precisely when they have none.
+deletion.  It is held as neighbour multiplicities (`graphs._multigraph`),
+the one map that `weakly_connected`, `bridges` and `edge_connectivity` read.
+Under that reading a bridge is an edge whose deletion increases the number
+of weak components, and word graphs are strongly connected precisely when
+they have none.
 
 `bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
 is a separate derivation by s-t max flows and never consults `bridges`, so
@@ -18,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Digraph, _edge_key, _incidence, _out_lists, _sort_key
+from .graphs import Digraph, _multigraph, _out_lists
 
 
 class EmptyGraphError(ValueError):
@@ -45,7 +47,7 @@ class SccDecomposition:
 def scc_decomposition(graph: Digraph) -> SccDecomposition:
     """Kosaraju's two passes, iterative, with components topologically sorted.
 
-    A depth-first search over successor lists, roots in `_sort_key` order,
+    A depth-first search over successor lists, roots in sorted order,
     records the order in which vertices finish.  A walk over predecessor lists
     from the latest finisher not yet placed reaches exactly its component, a
     source of what remains, so components come out in topological order.
@@ -98,58 +100,55 @@ def strongly_connected(graph: Digraph) -> bool:
 def weakly_connected(graph: Digraph) -> bool:
     """True when the underlying undirected graph is connected."""
     _require_vertices(graph)
-    incident = _incidence(graph)[1]
-    start = next(iter(incident))
+    adj = _multigraph(graph)
+    start = next(iter(adj))
     seen = {start}
     frontier = [start]
     while frontier:
         u = frontier.pop()
-        for w, _ in incident[u]:
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == len(incident)
+    return len(seen) == len(adj)
 
 
 def bridges(graph: Digraph) -> list[tuple]:
     """Edges whose deletion increases the number of weak components, sorted.
 
-    One iterative low-link DFS over the undirected incidence lists, O(V + E).
-    Every directed edge has its own id and the DFS skips only the id of the
-    tree edge it arrived by, so an antiparallel pair acts as two parallel
-    edges and is never a bridge.
+    One iterative low-link DFS over the undirected multigraph, held as
+    multiplicities, O(V + E).  Each frame carries its parent (the root is its
+    own, which no neighbour equals) and skips the edge back to it only at
+    multiplicity 1; an antiparallel pair has multiplicity 2, so its second
+    edge is a back edge and the pair is never a bridge.
     """
     _require_vertices(graph)
-    edges, incident = _incidence(graph)
+    adj = _multigraph(graph)
     disc: dict = {}
     low: dict = {}
     out = []
-    for root in graph.vertices:
+    for root in adj:
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
-        work = [(root, -1, iter(incident[root]))]
+        work = [(root, root, iter(adj[root].items()))]
         while work:
-            v, via, neighbours = work[-1]
-            for w, i in neighbours:
-                if i == via:
-                    continue
-                if w in disc:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
+            v, parent, neighbours = work[-1]
+            for w, multiplicity in neighbours:
+                if w not in disc:
                     disc[w] = low[w] = len(disc)
-                    work.append((w, i, iter(incident[w])))
+                    work.append((w, v, iter(adj[w].items())))
                     break
+                if disc[w] < low[v] and (w != parent or multiplicity > 1):
+                    low[v] = disc[w]
             else:
                 work.pop()
                 if work:
-                    parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                     if low[v] > disc[parent]:
-                        out.append(edges[via])
-    return sorted(out, key=_edge_key)
+                        out.append((parent, v) if (parent, v) in graph.edges else (v, parent))
+    return sorted(out)
 
 
 def edge_connectivity(graph: Digraph) -> int | None:
@@ -163,18 +162,14 @@ def edge_connectivity(graph: Digraph) -> int | None:
     can reach.  So the cost is O(V * lambda * (V + E)).
     """
     _require_vertices(graph)
-    verts = sorted(graph.vertices, key=_sort_key)
-    if len(verts) == 1:
+    if len(graph.vertices) == 1:
         return None
     if not weakly_connected(graph):
         return 0
-    capacity: dict = {v: {} for v in verts}
-    for u, v in graph.edges:
-        capacity[u][v] = capacity[u].get(v, 0) + 1
-        capacity[v][u] = capacity[v].get(u, 0) + 1
+    capacity = _multigraph(graph)
     best = min(sum(row.values()) for row in capacity.values())
-    source = verts[0]
-    for sink in verts[1:]:
+    source, *sinks = sorted(capacity)
+    for sink in sinks:
         if best == 1:
             break
         best = min(best, _max_flow(capacity, source, sink, best))

@@ -8,8 +8,8 @@ because the graph is simple, and identical pairs ("aa") contribute nothing.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Hashable
 
 from .words import Word, symbol_name
 
@@ -22,8 +22,9 @@ class InvalidGraphError(ValueError):
 class Digraph:
     """An immutable simple digraph without self-loops.
 
-    Vertices carry arbitrary hashable labels (symbol ids for word graphs,
-    strings for graphs read from JSON).
+    Vertices carry mutually orderable hashable labels (symbol ids for word
+    graphs, strings read from JSON), so traversals order them by `sorted`;
+    the underlying undirected multigraph is held as multiplicities.
     """
 
     vertices: frozenset
@@ -31,6 +32,10 @@ class Digraph:
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
+        try:
+            sorted(vertices)
+        except TypeError as exc:
+            raise InvalidGraphError(f"labels are not mutually orderable: {exc}") from exc
         edges = frozenset(tuple(e) for e in self.edges)
         for e in edges:
             if len(e) != 2:
@@ -64,37 +69,32 @@ def letter_labeled(graph: Digraph) -> Digraph:
     )
 
 
-def _sort_key(label: Hashable):
-    """Total order on mixed-type labels: by type name, then by value."""
-    return (type(label).__name__, label)
-
-
-def _edge_key(edge: tuple):
-    return (_sort_key(edge[0]), _sort_key(edge[1]))
-
-
 def _out_lists(graph: Digraph) -> dict:
-    """Successor lists keyed and ordered by `_sort_key`: read in order, they
-    give the edges in `_edge_key` order, so traversals are deterministic."""
-    out = {v: [] for v in sorted(graph.vertices, key=_sort_key)}
-    for u, v in sorted(graph.edges, key=_edge_key):
+    """Sorted successor lists keyed by the sorted vertices, so traversals are
+    deterministic; `_multigraph` holds the undirected form as multiplicities."""
+    out = {v: [] for v in sorted(graph.vertices)}
+    for u, v in sorted(graph.edges):
         out[u].append(v)
     return out
 
 
-def _incidence(graph: Digraph) -> tuple[list, dict]:
-    """The edge list, and each vertex's (neighbour, edge id) pairs ignoring direction."""
-    edges = list(graph.edges)
-    incident: dict = {v: [] for v in graph.vertices}
-    for i, (u, v) in enumerate(edges):
-        incident[u].append((v, i))
-        incident[v].append((u, i))
-    return edges, incident
+def _multigraph(graph: Digraph) -> dict:
+    """The underlying undirected multigraph: vertex -> {neighbour: multiplicity},
+    where an antiparallel pair has multiplicity 2."""
+    adj: dict = {v: {} for v in graph.vertices}
+    for u, v in graph.edges:
+        # The graph is simple, so v already neighbours u only through (v, u).
+        adj[u][v] = adj[v][u] = 2 if v in adj[u] else 1
+    return adj
+
+
+_DOT_BARE_ID = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def _dot_id(label) -> str:
     text = str(label)
-    if text.isalnum():
+    if re.fullmatch(_DOT_BARE_ID, text) and text.lower() not in _DOT_KEYWORDS:
         return text
     return '"' + text.replace('"', '\\"') + '"'
 
@@ -102,9 +102,9 @@ def _dot_id(label) -> str:
 def to_dot(graph: Digraph) -> str:
     """Render as a DOT digraph block, one statement per line, sorted."""
     lines = ["digraph {"]
-    for v in sorted(graph.vertices, key=_sort_key):
+    for v in sorted(graph.vertices):
         lines.append(f"  {_dot_id(v)};")
-    for u, v in sorted(graph.edges, key=_edge_key):
+    for u, v in sorted(graph.edges):
         lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

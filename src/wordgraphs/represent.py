@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .connectivity import Condensation, condensation, strongly_connected
-from .graphs import Digraph, _out_lists, _sort_key
+from .graphs import Digraph, _out_lists
 from .words import Word
 
 
@@ -107,7 +107,7 @@ def representational_walk(graph: Digraph) -> list:
     k = len(cond.components)
     entry = None
     for i, members in enumerate(cond.components):
-        start = entry if entry is not None else min(members, key=_sort_key)
+        start = entry if entry is not None else min(members)
         if i < k - 1:
             # The unique original edge into the next component.
             [(exit_vertex, entry)] = cond.crossing[(i, i + 1)]
@@ -125,5 +125,5 @@ def synthesize_word(graph: Digraph) -> Word:
     a word), the rebuilt graph reproduces the input exactly.
     """
     walk = representational_walk(graph)
-    index = {v: i for i, v in enumerate(sorted(graph.vertices, key=_sort_key))}
+    index = {v: i for i, v in enumerate(sorted(graph.vertices))}
     return Word(tuple(index[v] for v in walk))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -306,3 +307,37 @@ class TestHarnessContract:
             code, out, err = run(capsys, *argv)
             assert code == 0
             assert err == ""
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # String labels iterate in hash order, so every order that reaches
+        # stdout must come from sorting.  Three strong components joined by
+        # one edge each, with antiparallel pairs.
+        edges = [
+            ["zeta", "alpha"], ["alpha", "zeta"], ["alpha", "b10"], ["b10", "zeta"],
+            ["b10", "gamma"],
+            ["gamma", "beta"], ["beta", "gamma"], ["beta", "delta"], ["delta", "gamma"],
+            ["delta", "eps"],
+            ["eps", "b2"], ["b2", "eps"],
+        ]
+        vertices = sorted({label for edge in edges for label in edge})
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        commands = [
+            ["represent", "--input", str(path)],
+            ["build", "abcabdcb", "--format", "dot"],
+            ["build", "abcabdcb", "--format", "json"],
+            ["check", "abcb"],
+        ]
+        for argv in commands:
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "wordgraphs", *argv],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                for seed in ("0", "1")
+            ]
+            assert runs[0].stdout != ""
+            assert runs[0].stdout == runs[1].stdout, argv
+            assert runs[0].returncode == runs[1].returncode, argv

@@ -4,8 +4,12 @@
 and `redirect_stderr`, since hypothesis rejects function-scoped fixtures
 such as capsys.  Standard input is empty, so a fuzzed word `-` reads an
 empty word instead of waiting on a terminal.  Whatever the input, main
-returns 0, 1 or 2 without raising, and writes nothing to stderr unless it
-returns 2.
+returns 0, 1 or 2 (and 3 for `verify`) without raising, and writes nothing
+to stderr unless it returns 2.
+
+Sizes for `count`, `table`, `histogram` and `verify` are drawn below small
+caps, since those commands have no work bound yet: an integer argument is
+either in range or text that `int()` rejects.
 """
 
 import contextlib
@@ -52,12 +56,45 @@ def graph_documents(draw):
     return {"vertices": labels, "edges": edges}
 
 
-def run(argv):
+def parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def non_integer_text(max_size=4):
+    return st.text(max_size=max_size).filter(lambda text: not parses_as_int(text))
+
+
+def int_arg(cap):
+    """An integer argument from -3 up to cap or, one time in four, short text
+    that is not one: with text as often as numbers, most draws of several
+    arguments would stop at argument parsing."""
+    as_text = st.sampled_from([False, False, False, True])
+    return as_text.flatmap(
+        lambda text: non_integer_text() if text else st.integers(-3, cap).map(str)
+    )
+
+
+def optional(flag, values):
+    """No flag, or the flag with one drawn value."""
+    return st.just([]) | values.map(lambda value: [flag, value])
+
+
+caps = st.integers(-5, 10**4).map(str) | non_integer_text()
+seed_counts = st.lists(
+    st.integers(-3, 8).map(str) | non_integer_text(3), max_size=4
+).map(":".join)
+
+
+def run(argv, codes=(0, 1, 2)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with mock.patch("sys.stdin", io.StringIO()):
             code = main(argv)
-    assert code in (0, 1, 2)
+    assert code in codes
     if code != 2:
         assert err.getvalue() == ""
     return code
@@ -93,3 +130,40 @@ def test_check_keeps_the_contract(text, flags):
 @given(st.text(max_size=12), st.sampled_from(["dot", "json"]))
 def test_build_keeps_the_contract(text, fmt):
     run(["build", text, "--format", fmt])
+
+
+@FUZZ
+@given(int_arg(60), int_arg(20), st.sampled_from([[], ["--partitions"]]))
+@example("60", "20", ["--partitions"])
+def test_count_keeps_the_contract(length, alphabet, flags):
+    run(["count", "--length", length, "--alphabet", alphabet, *flags], codes=(0, 2))
+
+
+@FUZZ
+@given(int_arg(30), int_arg(30))
+@example("30", "30")
+def test_table_keeps_the_contract(max_length, max_alphabet):
+    run(["table", "--max-length", max_length, "--max-alphabet", max_alphabet], codes=(0, 2))
+
+
+@FUZZ
+@given(int_arg(8), int_arg(8), optional("--cap", caps))
+@example("8", "4", [])
+@example("8", "4", ["--cap", "100"])
+def test_histogram_keeps_the_contract(length, alphabet, flags):
+    run(["histogram", "--length", length, "--alphabet", alphabet, *flags], codes=(0, 2))
+
+
+@FUZZ
+@given(
+    int_arg(6),
+    optional("--max-alphabet", int_arg(8)),
+    optional("--cap", caps),
+    optional("--seed-count", seed_counts),
+    st.sampled_from([[], ["--verbose"]]),
+)
+@example("6", [], [], [], ["--verbose"])
+@example("6", ["--max-alphabet", "3"], ["--cap", "10000"], ["--seed-count", "5:3:8"], [])
+def test_verify_keeps_the_contract(max_length, max_alphabet, cap, seed_count, verbose):
+    flags = [*max_alphabet, *cap, *seed_count, *verbose]
+    run(["verify", "--max-length", max_length, *flags], codes=(0, 2, 3))

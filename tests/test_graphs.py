@@ -97,6 +97,15 @@ class TestDot:
     def test_odd_labels_quoted(self):
         text = to_dot(Digraph({"x y"}, frozenset()))
         assert '"x y";' in text
+        # DOT keywords (in any case) and digit-led non-numerals are not bare IDs.
+        odd = ["node", "Edge", "GRAPH", "digraph", "subgraph", "strict", "1a", "é", "-1", "1.5"]
+        text = to_dot(Digraph(odd, frozenset()))
+        for label in odd:
+            assert f'  "{label}";' in text
+        bare = ["a", "_x", "node_1", "strictly", "x9", "0", "27", "007"]
+        text = to_dot(Digraph(bare, frozenset()))
+        for label in bare:
+            assert f"  {label};" in text
 
 
 class TestJson:

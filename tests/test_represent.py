@@ -2,7 +2,7 @@ import pytest
 
 import wordgraphs.connectivity
 from wordgraphs.connectivity import weakly_connected
-from wordgraphs.graphs import Digraph, build_graph
+from wordgraphs.graphs import Digraph, InvalidGraphError, build_graph
 from wordgraphs.represent import (
     NotRepresentableError,
     NotStronglyConnectedError,
@@ -179,17 +179,13 @@ class TestSynthesis:
         assert walk_edges(representational_walk(g)) == g.edges
         assert len(calls) == 1
 
-    def test_mixed_labels_round_trip(self):
-        # Two strong components joined by the bridge a -> b; 2 <-> c is antiparallel.
-        edges = {(0, 1), (1, "a"), ("a", 0), ("a", "b"), ("b", 2), (2, "c"), ("c", 2), ("c", "b")}
-        g = Digraph({0, 1, 2, "a", "b", "c"}, edges)
-        walk = representational_walk(g)
-        assert walk_edges(walk) == g.edges
-        assert set(walk) == g.vertices
-        # Labels sort by type name first, so every int comes before every str.
-        order = [0, 1, 2, "a", "b", "c"]
-        expected = {(order.index(u), order.index(v)) for u, v in edges}
-        assert build_graph(synthesize_word(g)) == Digraph(range(6), expected)
+    def test_mixed_labels_rejected(self):
+        # Every traversal sorts the labels, so they must be mutually orderable.
+        with pytest.raises(InvalidGraphError):
+            Digraph({0, 1, "a"}, {(0, 1), (1, "a"), ("a", 0)})
+        # Tuples compare element-wise, and 2 < "a" does not compare.
+        with pytest.raises(InvalidGraphError):
+            Digraph({(1, 2), (1, "a")}, {((1, 2), (1, "a"))})
 
     def test_round_trip_over_words(self):
         for length in range(1, 6):
