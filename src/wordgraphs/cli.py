@@ -21,6 +21,7 @@ from .connectivity import (
 from .counting import (
     DEFAULT_CAP,
     CountTable,
+    _check_table_cap,
     csv_lines,
     scc_histogram,
     strong_partition_count,
@@ -56,11 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count canonical words (one per partition) instead of labeled words",
     )
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("table", help="CSV table of counts")
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--max-alphabet", type=int, required=True)
     p.add_argument("--out", help="write CSV here instead of standard output")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("verify", help="exhaustive identity checks (exit 3 on mismatch)")
     p.add_argument("--max-length", type=int, required=True)
@@ -130,6 +133,9 @@ def _cmd_check(args) -> int:
 def _cmd_count(args) -> int:
     if args.length < 1 or args.alphabet < 1:
         raise ValueError("length and alphabet must be at least 1")
+    # Base cases are read off without a table, so they cost nothing.
+    if args.length > args.alphabet > 1:
+        _check_table_cap(args.length, args.alphabet, args.cap, rows=False)
     if args.partitions:
         print(strong_partition_count(args.length, args.alphabet))
     else:
@@ -138,6 +144,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.max_length >= 1 and args.max_alphabet >= 1:
+        _check_table_cap(args.max_length, args.max_alphabet, args.cap, rows=True)
     lines = csv_lines(args.max_length, args.max_alphabet)
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -2,11 +2,13 @@
 
 All counts are Python integers, so they stay exact at any size.  The
 central quantity is the number of canonical words of a given length and
-alphabet size whose graph is strongly connected; it satisfies a recurrence
-over Stirling numbers of the second kind, and multiplying by the factorial
-of the alphabet size counts strong words across all labelings.  The
-brute-force counters here enumerate words and inspect graphs directly,
-giving an independent check of the recurrence at desk scale.
+alphabet size whose graph is strongly connected; one transfer scan over
+the positions counts them all, and multiplying by the factorial of the
+alphabet size counts strong words across all labelings.  The paper's
+recurrence over Stirling numbers of the second kind lives in `verify`,
+which checks the scan against it.  The brute-force counters here
+enumerate words and inspect graphs directly, giving a third, independent
+check at desk scale.
 """
 
 from __future__ import annotations
@@ -31,19 +33,60 @@ class ComponentMismatchError(RuntimeError):
     """A word's component count disagreed with its factorization cardinality."""
 
 
+def _transfer_scan(length: int, alphabet_size: int) -> list[list[int]]:
+    """T(l, n) for every l <= length and n <= alphabet_size, as columns[n][l].
+
+    A set partition of the positions is a weighted Motzkin path whose height
+    is the number of open blocks (Flajolet 1980).  A proper prefix that is a
+    union of blocks is a return to height 0, which splits the word; so T
+    counts the paths that touch 0 only at their two ends.  The scan walks
+    the positions keeping the number of prefixes per state (k blocks opened,
+    o of them still open).  Each position opens a singleton (k+1, o), opens
+    a block that stays open (k+1, o+1), or, in o ways each, closes an open
+    block (k, o-1) or continues one (k, o).  A close that reaches o = 0 at
+    position p ends a strong word: it adds to T(p, k) and the path stops.
+    """
+    columns = [[0] * (length + 1) for _ in range(alphabet_size + 1)]
+    # states[k][o] for 1 <= o <= k; index 0 is an unused zero.
+    states = [[0] for _ in range(alphabet_size + 1)]
+    # One block stays open until it closes at the end: k = 1 never changes.
+    states[1] = [0, 1]
+    columns[1][1:] = [1] * length
+    for p in range(2, length + 1):
+        # More open blocks than positions left can never all close.
+        room = length - p
+        # Descending k reads states[k - 1] before it is overwritten.
+        for k in range(min(p, alphabet_size), 1, -1):
+            top = min(k, room)
+            same = states[k] + [0] * (top + 2 - len(states[k]))
+            fewer = states[k - 1] + [0] * (top + 1 - len(states[k - 1]))
+            columns[k][p] = same[1]
+            states[k] = [0] + [
+                o * same[o] + (o + 1) * same[o + 1] + fewer[o] + fewer[o - 1]
+                for o in range(1, top + 1)
+            ]
+    return columns
+
+
 class CountTable:
     """Stirling and strong-word counts, filled bottom-up without recursion.
 
     Column n holds S(l, n) and T(l, n) as lists indexed by the length l.
+    T comes from one transfer scan that fills every cell up to the table's
+    bounds; a request past them refills the table to the request's bounds.
     Thread-safe: the table is filled under a lock.  `seed_strong_count`
     overwrites a table cell and exists purely as a fault-injection hook for
     testing the verification harness; it has no legitimate production use.
+    A seeded cell reads back after every refill, and no other cell derives
+    from it.
     """
 
     def __init__(self) -> None:
         self._stirling: list[list[int]] = []
-        # Columns 0 and 1 of T are base cases and never stored.
-        self._strong: list[list[int]] = [[], []]
+        # T(l, n) for l <= length and n <= alphabet size, as columns[n][l].
+        self._strong: list[list[int]] = []
+        self._bounds = (0, 0)
+        self._seeds: dict[tuple[int, int], int] = {}
         self._lock = threading.RLock()
 
     def _grow_stirling(self, length: int, blocks: int) -> None:
@@ -55,26 +98,17 @@ class CountTable:
             for l in range(len(column), length + 1):
                 column.append(n * column[l - 1] + (columns[n - 1][l - 1] if n else 0))
 
-    def _grow_strong(self, length: int, alphabet_size: int) -> None:
-        """T(l, n) = S(l-1, n) + sum over j <= l-2, m <= n-2 of S(j, m) T(l-j-1, n-m) (n-m-1).
-
-        S(j, 0) vanishes except at j = 0, so the m = 0 terms reduce to T(l-1, n) (n-1).
-        """
-        self._grow_stirling(length, alphabet_size)
-        stirling, columns = self._stirling, self._strong
-        for n in range(2, alphabet_size + 1):
-            if n == len(columns):
-                columns.append([0] * (n + 1))
-            column = columns[n]
-            for l in range(len(column), length + 1):
-                total = stirling[n][l - 1] + column[l - 1] * (n - 1)
-                for m in range(1, n - 1):
-                    s, t = stirling[m], columns[n - m]
-                    # S(j, m) vanishes for j < m and T(i, n-m) for i <= n-m.
-                    total += (n - m - 1) * sum(
-                        s[j] * t[l - j - 1] for j in range(m, l - 1 - n + m)
-                    )
-                column.append(total)
+    def _fill_strong(self, length: int, alphabet_size: int) -> None:
+        filled_length, filled_alphabet = self._bounds
+        if length <= filled_length and alphabet_size <= filled_alphabet:
+            return
+        # Not to the union of old and new bounds: after (L, 2) and (10, N),
+        # that would cost an (L, N) scan that neither request asked for.
+        self._strong = _transfer_scan(length, alphabet_size)
+        self._bounds = (length, alphabet_size)
+        for (l, n), value in self._seeds.items():
+            if l <= length and n <= alphabet_size:
+                self._strong[n][l] = value
 
     def stirling2(self, length: int, blocks: int) -> int:
         """Stirling number of the second kind."""
@@ -91,11 +125,10 @@ class CountTable:
         whose graph is strongly connected; equivalently, partitions of the
         positions in which no proper subset of blocks fills a prefix.
 
-        Recurrence: count the partitions keeping first and last position
-        together, then sum over ways of splitting off a reducible tail.
-        Base cases, in order of precedence: nothing for non-positive
-        length, one trivial word per length on a single symbol, nothing
-        when the length does not exceed the alphabet size.
+        Read from the table that `_transfer_scan` fills.  Base cases, in
+        order of precedence: nothing for non-positive length, one trivial
+        word per length on a single symbol, nothing when the length does
+        not exceed the alphabet size.
         """
         if alphabet_size <= 0:
             raise ValueError("alphabet size must be positive")
@@ -106,7 +139,7 @@ class CountTable:
         if length <= alphabet_size:
             return 0
         with self._lock:
-            self._grow_strong(length, alphabet_size)
+            self._fill_strong(length, alphabet_size)
             return self._strong[alphabet_size][length]
 
     def strong_word_count(self, length: int, alphabet_size: int) -> int:
@@ -126,17 +159,20 @@ class CountTable:
         return sum(self.stirling2(length, n) for n in range(length + 1))
 
     def seed_strong_count(self, length: int, alphabet_size: int, value: int) -> None:
-        """Overwrite one strong-count cell (fault-injection test hook); cells
-        filled later read the seeded value.  Base cases cannot be seeded."""
+        """Overwrite one strong-count cell (fault-injection test hook).  The
+        seed outlives later refills; base cases cannot be seeded."""
         if length > alphabet_size > 1:
             with self._lock:
-                self._grow_strong(length, alphabet_size)
+                self._seeds[length, alphabet_size] = value
+                self._fill_strong(length, alphabet_size)
                 self._strong[alphabet_size][length] = value
 
     def rows(self, max_length: int, max_alphabet: int) -> Iterator[tuple[int, int, int, int, int]]:
         """(length, alphabet, stirling, strong partitions, strong words) per pair."""
         if max_length < 1 or max_alphabet < 1:
             raise ValueError("bounds must be at least 1")
+        with self._lock:
+            self._fill_strong(max_length, min(max_length, max_alphabet))
         for length in range(1, max_length + 1):
             for n in range(1, min(length, max_alphabet) + 1):
                 yield (
@@ -176,6 +212,31 @@ def _check_cap(length: int, cap: int | None) -> None:
     rather than computing Bell(length) itself, which costs O(length^2)."""
     if cap is not None and any(_SHARED.bell(m) > cap for m in range(length + 1)):
         raise CapExceededError(f"enumerating length {length} means more words than the cap {cap}")
+
+
+def _check_table_cap(length: int, alphabet_size: int, cap: int, rows: bool) -> None:
+    """Refuse, before any work, a table fill whose estimated cost exceeds `cap`.
+
+    The unit is one transfer-scan state update on small integers.  Each of
+    the length * m cells (m = min(length, alphabet_size)) takes about m
+    updates, and an update costs one more unit per 4096 bits of the largest
+    count (counts average half that size over the scan).  Keeping a cell
+    costs one unit per 64 bits, which bounds the table's memory.  With
+    `rows`, every cell is also printed, and decimal conversion is quadratic
+    in the size of its numbers.
+    """
+    m = min(length, alphabet_size)
+    # No count in the table exceeds m^length, so none is longer than this.
+    bits = length * (m - 1).bit_length()
+    cells = length * m
+    cost = cells * (m * (1 + bits // 4096) + bits // 64)
+    if rows:
+        cost += cells * (bits // 512) ** 2
+    if cost > cap:
+        raise CapExceededError(
+            f"counting to length {length} over {m} symbols costs about {cost} steps, "
+            f"more than the cap {cap}"
+        )
 
 
 def _strong_counts_by_alphabet(length: int) -> list[int]:

@@ -58,22 +58,53 @@ def _family_count_by_inclusion_exclusion(length: int, alphabet_size: int) -> int
     return sum((-1) ** k * math.comb(n, k) * (n - k) ** length for k in range(n + 1))
 
 
+def _paper_recurrence(max_length: int, max_alphabet: int, table: CountTable) -> list[list[int]]:
+    """T(l, n) for l <= max_length and n <= max_alphabet, as columns[n][l], by
+    the paper's recurrence over Stirling numbers, filled bottom-up:
+
+    T(l, n) = S(l-1, n) + sum over j <= l-2, m <= n-2 of S(j, m) T(l-j-1, n-m) (n-m-1),
+
+    with T(l, 1) = 1 and T(l, n) = 0 for l <= n.  S(j, 0) vanishes except
+    at j = 0, so the m = 0 terms reduce to T(l-1, n) (n-1).  Only the
+    Stirling numbers come from `table`; its transfer scan is never read.
+    """
+    stirling = [
+        [table.stirling2(l, m) for l in range(max_length + 1)] for m in range(max_alphabet + 1)
+    ]
+    columns = [[0] * (max_length + 1), [0] + [1] * max_length]
+    for n in range(2, max_alphabet + 1):
+        column = [0] * (max_length + 1)
+        for l in range(n + 1, max_length + 1):
+            total = stirling[n][l - 1] + column[l - 1] * (n - 1)
+            for m in range(1, n - 1):
+                s, t = stirling[m], columns[n - m]
+                # S(j, m) vanishes for j < m and T(i, n-m) for i <= n-m.
+                total += (n - m - 1) * sum(
+                    s[j] * t[l - j - 1] for j in range(m, l - 1 - n + m)
+                )
+            column[l] = total
+        columns.append(column)
+    return columns
+
+
 def _verify_recurrence(
-    length: int, max_alphabet: int, table: CountTable, cap: int | None
+    length: int, max_alphabet: int, table: CountTable, cap: int | None, recurrence: list[list[int]]
 ) -> Check:
+    """The recurrence, the table's transfer scan and brute force: three
+    derivations that share no code."""
     for n in range(1, min(length, max_alphabet) + 1):
         label = f"check=recurrence l={length} n={n}"
         try:
-            actual = brute_force_strong_count(length, n, cap)
+            enumerated = brute_force_strong_count(length, n, cap)
         except CapExceededError:
             yield label, SKIPPED
             continue
-        expected = table.strong_partition_count(length, n)
-        text = f"{label} recurrence={expected} enumerated={actual}"
-        yield text, OK if expected == actual else FAIL
+        expected, scan = recurrence[n][length], table.strong_partition_count(length, n)
+        text = f"{label} recurrence={expected} scan={scan} enumerated={enumerated}"
+        yield text, OK if expected == scan == enumerated else FAIL
 
 
-def _verify_family(length: int, max_alphabet: int, table: CountTable, cap: int | None) -> Check:
+def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
     for n in range(1, min(length, max_alphabet) + 1):
         expected = table.family_cardinality(length, n)
         actual = _family_count_by_inclusion_exclusion(length, n)
@@ -117,7 +148,7 @@ def _verify_words(length: int, max_alphabet: int, table: CountTable, cap: int | 
             yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", FAIL
         strong_bucket, expected = histogram.get(1, 0), table.strong_partition_count(length, n)
         if strong_bucket != expected:
-            text = f"check=histogram l={length} n={n} strong={strong_bucket} recurrence={expected}"
+            text = f"check=histogram l={length} n={n} strong={strong_bucket} scan={expected}"
             yield text, FAIL
     yield f"{label} words={words} cut={'exact' if exact_cut else 'deletion'}", OK
     yield f"check=histogram l={length}", OK
@@ -131,8 +162,9 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full identity suite for all lengths up to `max_length`.
 
-    `table` supplies the recurrence values; passing a pre-seeded
-    table is how the harness's own failure path is tested.
+    `table` supplies the Stirling numbers and the transfer scan's counts;
+    passing a pre-seeded table is how the harness's own failure path is
+    tested.
     """
     if max_length < 2:
         raise ValueError("max length must be at least 2")
@@ -142,10 +174,17 @@ def run_verification(
         raise ValueError("max alphabet must be at least 1")
     if table is None:
         table = CountTable()
+    recurrence = _paper_recurrence(max_length, min(max_length, max_alphabet), table)
     report = VerificationReport()
     for length in range(1, max_length + 1):
-        for check in (_verify_recurrence, _verify_family, _verify_words):
-            for text, status in check(length, max_alphabet, table, cap):
+        # Generators: a check after the first failure never runs.
+        checks = (
+            _verify_recurrence(length, max_alphabet, table, cap, recurrence),
+            _verify_family(length, max_alphabet, table),
+            _verify_words(length, max_alphabet, table, cap),
+        )
+        for check in checks:
+            for text, status in check:
                 line = f"{text} status={status}"
                 report.lines.append(line)
                 if status == FAIL:

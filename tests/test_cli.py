@@ -152,6 +152,26 @@ class TestCount:
         # S(l-1, n) <= T(l, n) <= S(l, n): the recurrence's first term, and a subset of all words.
         assert surjections(1199, 5) <= int(out) <= surjections(1200, 5)
 
+    def test_over_the_cap_is_refused_before_any_work(self):
+        start = time.perf_counter()
+        proc = run_with_stdin("", "count", "--length", "2000", "--alphabet", "100")
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_cap_flag(self, capsys):
+        code, out, err = run(capsys, "count", "--length", "60", "--alphabet", "12", "--cap", "100")
+        assert (code, out) == (2, "")
+        assert "cap 100" in err
+        code, out, err = run(capsys, "count", "--length", "20", "--alphabet", "4", "--cap", "1000")
+        assert (code, out, err) == (0, "1071592148736\n", "")
+
+    def test_base_cases_are_never_refused(self, capsys):
+        for length, alphabet, count in [(10**30, 1, 1), (5, 10**30, 0), (7, 7, 0)]:
+            argv = ["--length", str(length), "--alphabet", str(alphabet), "--partitions"]
+            code, out, err = run(capsys, "count", *argv, "--cap", "0")
+            assert (code, out, err) == (0, f"{count}\n", "")
+
 class TestTable:
     def test_stdout(self, capsys):
         code, out, err = run(
@@ -179,6 +199,19 @@ class TestTable:
         assert code == 0
         assert out == ""
         assert "4,3,6,1,6" in target.read_text()
+
+    def test_over_the_cap_is_refused(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "table", "--max-length", "5", "--max-alphabet", "3", "--cap", "10",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+        # One long column costs its length, so even a single symbol is bounded.
+        code, out, err = run(capsys, "table", "--max-length", str(10**9), "--max-alphabet", "1")
+        assert (code, out) == (2, "")
 
     def test_unwritable_file(self, capsys, tmp_path):
         code, out, err = run(

@@ -7,9 +7,11 @@ empty word instead of waiting on a terminal.  Whatever the input, main
 returns 0, 1 or 2 (and 3 for `verify`) without raising, and writes nothing
 to stderr unless it returns 2.
 
-Sizes for `count`, `table`, `histogram` and `verify` are drawn below small
-caps, since those commands have no work bound yet: an integer argument is
-either in range or text that `int()` rejects.
+`count` and `table` sizes are drawn without an upper limit, with and
+without a small `--cap`: the work bound refuses a large request before any
+work starts.  `histogram` and `verify` sizes stay below small limits, since
+a run under their default cap can still take minutes.  An integer argument
+is either a number or text that `int()` rejects.
 """
 
 import contextlib
@@ -68,14 +70,17 @@ def non_integer_text(max_size=4):
     return st.text(max_size=max_size).filter(lambda text: not parses_as_int(text))
 
 
-def int_arg(cap):
-    """An integer argument from -3 up to cap or, one time in four, short text
-    that is not one: with text as often as numbers, most draws of several
-    arguments would stop at argument parsing."""
+# Half the draws are small, so that many commands get past the work bound.
+any_size = st.integers(-3, 60) | st.integers(min_value=-3)
+
+
+def int_arg(cap=None):
+    """An integer argument from -3 up to `cap` (any size when None) or, one
+    time in four, short text that is not one: with text as often as numbers,
+    most draws of several arguments would stop at argument parsing."""
+    numbers = any_size if cap is None else st.integers(-3, cap)
     as_text = st.sampled_from([False, False, False, True])
-    return as_text.flatmap(
-        lambda text: non_integer_text() if text else st.integers(-3, cap).map(str)
-    )
+    return as_text.flatmap(lambda text: non_integer_text() if text else numbers.map(str))
 
 
 def optional(flag, values):
@@ -133,17 +138,21 @@ def test_build_keeps_the_contract(text, fmt):
 
 
 @FUZZ
-@given(int_arg(60), int_arg(20), st.sampled_from([[], ["--partitions"]]))
-@example("60", "20", ["--partitions"])
-def test_count_keeps_the_contract(length, alphabet, flags):
-    run(["count", "--length", length, "--alphabet", alphabet, *flags], codes=(0, 2))
+@given(int_arg(), int_arg(), st.sampled_from([[], ["--partitions"]]), optional("--cap", caps))
+@example("60", "20", ["--partitions"], [])
+@example("2000", "100", [], [])
+@example(str(10**30), "1", [], ["--cap", "0"])
+def test_count_keeps_the_contract(length, alphabet, flags, cap):
+    run(["count", "--length", length, "--alphabet", alphabet, *flags, *cap], codes=(0, 2))
 
 
 @FUZZ
-@given(int_arg(30), int_arg(30))
-@example("30", "30")
-def test_table_keeps_the_contract(max_length, max_alphabet):
-    run(["table", "--max-length", max_length, "--max-alphabet", max_alphabet], codes=(0, 2))
+@given(int_arg(), int_arg(), optional("--cap", caps))
+@example("30", "30", [])
+@example("2000", "100", [])
+@example(str(10**9), "1", ["--cap", "100"])
+def test_table_keeps_the_contract(max_length, max_alphabet, cap):
+    run(["table", "--max-length", max_length, "--max-alphabet", max_alphabet, *cap], codes=(0, 2))
 
 
 @FUZZ

@@ -19,6 +19,7 @@ from wordgraphs.counting import (
     strong_word_count,
 )
 from wordgraphs.graphs import build_graph
+from wordgraphs.verify import _paper_recurrence, run_verification
 from wordgraphs.words import iter_canonical_words
 
 
@@ -92,6 +93,19 @@ class TestStrongCounts:
     def test_two_symbol_closed_form(self):
         for length in range(2, 21):
             assert strong_partition_count(length, 2) == 2 ** (length - 1) - length
+
+    def test_scan_matches_the_paper_recurrence(self):
+        table = CountTable()
+        recurrence = _paper_recurrence(60, 20, CountTable())
+        for length in range(1, 61):
+            for n in range(1, 21):
+                assert table.strong_partition_count(length, n) == recurrence[n][length]
+
+    def test_one_letter_repeats_around_the_rest(self):
+        # T(n+1, n) = 1: a, then every other letter once, then a again.
+        table = CountTable()
+        for n in range(200, 1, -1):
+            assert table.strong_partition_count(n + 1, n) == 1
 
     def test_bounded_by_stirling(self):
         for length in range(1, 15):
@@ -231,6 +245,20 @@ class TestCountTable:
         table.seed_strong_count(5, 1, 7)
         assert table.strong_partition_count(4, 3) == 1
         assert table.strong_partition_count(5, 1) == 1
+
+    def test_seed_survives_a_refill(self):
+        table = CountTable()
+        table.seed_strong_count(5, 3, 8)
+        assert table.strong_partition_count(30, 10) == strong_partition_count(30, 10)
+        assert table.strong_partition_count(5, 3) == 8
+        # A refill to (40, 2) leaves (5, 3) out; reading it refills again.
+        assert table.strong_partition_count(40, 2) == 2**39 - 40
+        assert table.strong_partition_count(5, 3) == 8
+        # No other cell derives from the seed.
+        assert table.strong_partition_count(6, 3) == strong_partition_count(6, 3)
+        report = run_verification(6, table=table)
+        assert report.failures == [report.lines[-1]]
+        assert report.failures[0].startswith("check=recurrence l=5 n=3 ")
 
     def test_rows_shape(self):
         table = CountTable()

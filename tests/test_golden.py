@@ -128,17 +128,17 @@ VERIFY_EXPECTED = {
     ("--max-length", "8"): (
         0,
         89,
-        "fa8e029b326213f05c9f9ed9a0efb1d0449527f30eb6430e4106909b0895c244",
+        "c5691b8054274447f51f684b94d39979375424185a277d673448a26ea87cec78",
     ),
     ("--max-length", "13", "--cap", "1000"): (
         0,
         203,
-        "73691f0f7509fde0c6ec2ec144a060bcb438a0d5c91df59487674fe6b0dc5cfb",
+        "f2c04bb6fb11a8fc8fbe8fcf2bf9a90b83d9d5b7749c4949bcee8a6252c2af05",
     ),
     ("--max-length", "6", "--seed-count", "5:3:8"): (
         3,
         32,
-        "1ddfbb92e00a70caa47a6d3330450be51202502131fbbac93ca16508ede90816",
+        "342303b00f371f239c4cd04d7afdeb94b28e7117cb41ca86f8071a3211534d26",
     ),
 }
 
