@@ -1,7 +1,6 @@
 """Digraphs encoded by words: construction, connectivity, synthesis, counting."""
 
 from .connectivity import (
-    Condensation,
     EmptyGraphError,
     SccDecomposition,
     bridges,
@@ -13,7 +12,6 @@ from .connectivity import (
 )
 from .counting import (
     CapExceededError,
-    ComponentMismatchError,
     CountTable,
     bell,
     brute_force_strong_count,
@@ -58,7 +56,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condensation",
     "EmptyGraphError",
     "SccDecomposition",
     "bridges",
@@ -68,7 +65,6 @@ __all__ = [
     "strongly_connected",
     "weakly_connected",
     "CapExceededError",
-    "ComponentMismatchError",
     "CountTable",
     "bell",
     "brute_force_strong_count",

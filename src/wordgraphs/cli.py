@@ -213,11 +213,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Counts print in full.  The digit limit is lifted after parsing and never
+    # for `represent`, where it keeps converting JSON integer literals cheap.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None and args.command in ("count", "table", "histogram", "verify"):
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
-"""Exact counts: Stirling numbers, strong-word counts, and brute-force oracles.
+"""Exact counts: Stirling numbers, strong-word counts, and a brute-force oracle.
 
-All counts are Python integers, so they stay exact at any size.  The
-central quantity is the number of canonical words of a given length and
-alphabet size whose graph is strongly connected; one transfer scan over
-the positions counts them all, and multiplying by the factorial of the
-alphabet size counts strong words across all labelings.  The paper's
-recurrence over Stirling numbers of the second kind lives in `verify`,
-which checks the scan against it.  The brute-force counters here
-enumerate words and inspect graphs directly, giving a third, independent
-check at desk scale.
+All counts are Python integers, so they stay exact at any size.  One
+transfer scan over the positions counts canonical words by length, alphabet
+size and number of strong components.  The strong words are the
+one-component bucket, and multiplying by the factorial of the alphabet size
+counts them across all labelings.  The paper's recurrence over Stirling
+numbers of the second kind lives in `verify`, which checks the scan against
+it.  The brute-force counter here enumerates words and decides strong
+connectivity on adjacency bitsets, a third, independent check at desk
+scale.  No graph code runs here.
 """
 
 from __future__ import annotations
@@ -17,54 +17,56 @@ import math
 import threading
 from typing import Iterator
 
-from .connectivity import scc_decomposition
-from .factorization import split_points
-from .graphs import Digraph, build_graph
-from .words import Word, iter_canonical_words
-
 DEFAULT_CAP = 10_000_000
 
 
 class CapExceededError(ValueError):
-    """The requested enumeration is larger than the configured cap."""
+    """The requested enumeration or scan is larger than the configured cap."""
 
 
-class ComponentMismatchError(RuntimeError):
-    """A word's component count disagreed with its factorization cardinality."""
-
-
-def _transfer_scan(length: int, alphabet_size: int) -> list[list[int]]:
-    """T(l, n) for every l <= length and n <= alphabet_size, as columns[n][l].
+def _transfer_scan(length: int, alphabet_size: int, components: int = 1) -> list[list[list[int]]]:
+    """Canonical words with l <= length letters, n <= alphabet_size symbols
+    and c <= components strong components, as columns[c][n][l].
 
     A set partition of the positions is a weighted Motzkin path whose height
     is the number of open blocks (Flajolet 1980).  A proper prefix that is a
-    union of blocks is a return to height 0, which splits the word; so T
-    counts the paths that touch 0 only at their two ends.  The scan walks
-    the positions keeping the number of prefixes per state (k blocks opened,
-    o of them still open).  Each position opens a singleton (k+1, o), opens
-    a block that stays open (k+1, o+1), or, in o ways each, closes an open
-    block (k, o-1) or continues one (k, o).  A close that reaches o = 0 at
-    position p ends a strong word: it adds to T(p, k) and the path stops.
+    union of blocks is a return to height 0, which splits the word, so each
+    return ends one strong component and columns[1] holds T(l, n).  The scan
+    walks the positions keeping the number of prefixes per state (c
+    components begun, k blocks opened, o of them still open; o = 0 holds the
+    complete words).  Each position opens a singleton (k+1, o), opens a block
+    that stays open (k+1, o+1), or, in o ways each, closes an open block
+    (k, o-1) or continues one (k, o).  After a complete word, a new block
+    begins component c+1.
     """
-    columns = [[0] * (length + 1) for _ in range(alphabet_size + 1)]
-    # states[k][o] for 1 <= o <= k; index 0 is an unused zero.
-    states = [[0] for _ in range(alphabet_size + 1)]
+    # columns[0] stays empty: every word of positive length has a component.
+    columns: list[list[list[int]]] = [[]]
+    columns += [[[0] * (length + 1) for _ in range(alphabet_size + 1)] for _ in range(components)]
+    # states[c][k][o] for c <= k; states[0] stays zero past the empty prefix.
+    states = [[[0] for _ in range(alphabet_size + 1)] for _ in range(components + 1)]
     # One block stays open until it closes at the end: k = 1 never changes.
-    states[1] = [0, 1]
-    columns[1][1:] = [1] * length
+    states[1][1] = [1, 1]
+    columns[1][1][1:] = [1] * length
+    # Padding that also makes fewer[o - 1] read 0 at o = 0.
+    zeros = [0] * (alphabet_size + 2)
+    # Descending c and k read states[c - 1] and states[c][k - 1] before
+    # they are overwritten.  Component c needs c blocks; k = 1 is seeded.
+    layers = [(states[c], states[c - 1], columns[c], c - 1 or 1) for c in range(components, 0, -1)]
     for p in range(2, length + 1):
         # More open blocks than positions left can never all close.
         room = length - p
-        # Descending k reads states[k - 1] before it is overwritten.
-        for k in range(min(p, alphabet_size), 1, -1):
-            top = min(k, room)
-            same = states[k] + [0] * (top + 2 - len(states[k]))
-            fewer = states[k - 1] + [0] * (top + 1 - len(states[k - 1]))
-            columns[k][p] = same[1]
-            states[k] = [0] + [
-                o * same[o] + (o + 1) * same[o + 1] + fewer[o] + fewer[o - 1]
-                for o in range(1, top + 1)
-            ]
+        high = min(p, alphabet_size)
+        for row, below, column, low in layers:
+            for k in range(high, low, -1):
+                same = row[k] + zeros
+                # A new block after component c - 1's complete words begins c.
+                fewer = row[k - 1] + zeros
+                fewer[0] = below[k - 1][0]
+                row[k] = new = [
+                    o * same[o] + (o + 1) * same[o + 1] + fewer[o] + fewer[o - 1]
+                    for o in range(min(k, room) + 1)
+                ]
+                column[k][p] = new[0]
     return columns
 
 
@@ -91,7 +93,12 @@ class CountTable:
 
     def _grow_stirling(self, length: int, blocks: int) -> None:
         columns = self._stirling
-        for n in range(blocks + 1):
+        # Every fill reaches columns 0..n alike, so column lengths never
+        # increase with n: start after the last column that reaches length.
+        start = min(blocks + 1, len(columns))
+        while start and len(columns[start - 1]) <= length:
+            start -= 1
+        for n in range(start, blocks + 1):
             if n == len(columns):
                 columns.append([1 if n == 0 else 0])
             column = columns[n]
@@ -104,7 +111,7 @@ class CountTable:
             return
         # Not to the union of old and new bounds: after (L, 2) and (10, N),
         # that would cost an (L, N) scan that neither request asked for.
-        self._strong = _transfer_scan(length, alphabet_size)
+        self._strong = _transfer_scan(length, alphabet_size)[1]
         self._bounds = (length, alphabet_size)
         for (l, n), value in self._seeds.items():
             if l <= length and n <= alphabet_size:
@@ -185,26 +192,12 @@ class CountTable:
 
 
 _SHARED = CountTable()
-
-
-def stirling2(length: int, blocks: int) -> int:
-    return _SHARED.stirling2(length, blocks)
-
-
-def bell(length: int) -> int:
-    return _SHARED.bell(length)
-
-
-def strong_partition_count(length: int, alphabet_size: int) -> int:
-    return _SHARED.strong_partition_count(length, alphabet_size)
-
-
-def strong_word_count(length: int, alphabet_size: int) -> int:
-    return _SHARED.strong_word_count(length, alphabet_size)
-
-
-def family_cardinality(length: int, alphabet_size: int) -> int:
-    return _SHARED.family_cardinality(length, alphabet_size)
+# The module's counting functions read one table shared by the process.
+stirling2 = _SHARED.stirling2
+bell = _SHARED.bell
+strong_partition_count = _SHARED.strong_partition_count
+strong_word_count = _SHARED.strong_word_count
+family_cardinality = _SHARED.family_cardinality
 
 
 def _check_cap(length: int, cap: int | None) -> None:
@@ -214,24 +207,25 @@ def _check_cap(length: int, cap: int | None) -> None:
         raise CapExceededError(f"enumerating length {length} means more words than the cap {cap}")
 
 
-def _check_table_cap(length: int, alphabet_size: int, cap: int, rows: bool) -> None:
-    """Refuse, before any work, a table fill whose estimated cost exceeds `cap`.
+def _check_table_cap(
+    length: int, alphabet_size: int, cap: int, rows: bool, components: int = 1
+) -> None:
+    """Refuse, before any work, a scan whose estimated cost exceeds `cap`.
 
     The unit is one transfer-scan state update on small integers.  Each of
     the length * m cells (m = min(length, alphabet_size)) takes about m
-    updates, and an update costs one more unit per 4096 bits of the largest
-    count (counts average half that size over the scan).  Keeping a cell
-    costs one unit per 64 bits, which bounds the table's memory.  With
-    `rows`, every cell is also printed, and decimal conversion is quadratic
-    in the size of its numbers.
+    updates per component counted, and an update costs one more unit per
+    4096 bits of the largest count (counts average half that size over the
+    scan).  Keeping a cell costs one unit per 64 bits, which bounds the
+    scan's memory.  Decimal conversion is quadratic in the size of a
+    number: with `rows` every cell is printed, else one count per component.
     """
     m = min(length, alphabet_size)
-    # No count in the table exceeds m^length, so none is longer than this.
+    # No count in the scan exceeds m^length, so none is longer than this.
     bits = length * (m - 1).bit_length()
     cells = length * m
-    cost = cells * (m * (1 + bits // 4096) + bits // 64)
-    if rows:
-        cost += cells * (bits // 512) ** 2
+    cost = components * cells * (m * (1 + bits // 4096) + bits // 64)
+    cost += (cells if rows else components) * (bits // 512) ** 2
     if cost > cap:
         raise CapExceededError(
             f"counting to length {length} over {m} symbols costs about {cost} steps, "
@@ -314,36 +308,27 @@ def brute_force_strong_count(
     return counts[alphabet_size]
 
 
-def _sweep(length: int, alphabet_size: int) -> Iterator[tuple[Word, Digraph, int, int]]:
-    """(word, graph, strong component count, factor count) per canonical word.
-
-    The two counts are separate derivations, one from the graph's strong
-    components and one from the word's split points; callers compare them.
-    """
-    for word in iter_canonical_words(length, alphabet_size):
-        graph = build_graph(word)
-        yield word, graph, scc_decomposition(graph).count, len(split_points(word)) + 1
-
-
 def scc_histogram(
     length: int, alphabet_size: int, cap: int | None = DEFAULT_CAP
 ) -> dict[int, int]:
     """Canonical words bucketed by their graph's strong component count.
 
-    Cross-checks every word on the way: the component count must equal the
-    cardinality of the word's finest disjoint factorization.
+    Read from one transfer scan that counts components (see
+    `_transfer_scan`); the component count is also the number of factors
+    of the word's finest disjoint factorization.  `cap` bounds the scan's
+    estimated cost in the units of `_check_table_cap`, components included
+    (pass None to lift it).  Empty buckets are left out.
     """
     if not 1 <= alphabet_size <= length:
         raise ValueError("need 1 <= alphabet_size <= length")
-    _check_cap(length, cap)
-    histogram: dict[int, int] = {}
-    for word, _, components, factors in _sweep(length, alphabet_size):
-        if components != factors:
-            raise ComponentMismatchError(
-                f"word {word.text()}: {components} components but {factors} factors"
-            )
-        histogram[components] = histogram.get(components, 0) + 1
-    return dict(sorted(histogram.items()))
+    if alphabet_size in (1, length):
+        # One word, read off: a...a is strong; distinct symbols are singletons.
+        return {alphabet_size: 1}
+    if cap is not None:
+        _check_table_cap(length, alphabet_size, cap, rows=False, components=alphabet_size)
+    columns = _transfer_scan(length, alphabet_size, alphabet_size)
+    buckets = {c: columns[c][alphabet_size][length] for c in range(1, alphabet_size + 1)}
+    return {c: count for c, count in buckets.items() if count}
 
 
 def csv_lines(max_length: int, max_alphabet: int, table: CountTable | None = None) -> list[str]:

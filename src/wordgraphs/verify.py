@@ -14,15 +14,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .connectivity import bridges, edge_connectivity, weakly_connected
+from .connectivity import bridges, edge_connectivity, scc_decomposition, weakly_connected
 from .counting import (
     DEFAULT_CAP,
     CapExceededError,
     CountTable,
     brute_force_strong_count,
     _check_cap,
-    _sweep,
 )
+from .factorization import split_points
+from .graphs import build_graph
+from .words import iter_canonical_words
 
 # Up to this length each word's exact minimum cut is also computed, by max
 # flow independent of `bridges`, and "cut >= 2" is checked against strong
@@ -124,8 +126,11 @@ def _verify_words(length: int, max_alphabet: int, table: CountTable, cap: int | 
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         histogram: dict[int, int] = {}
-        for word, graph, components, k in _sweep(length, n):
+        for word in iter_canonical_words(length, n):
             words += 1
+            graph = build_graph(word)
+            # Two derivations: the graph's components, the word's factors.
+            components, k = scc_decomposition(graph).count, len(split_points(word)) + 1
             strong = components == 1
             bridge_list = bridges(graph)
             if not weakly_connected(graph):
@@ -174,7 +179,11 @@ def run_verification(
         raise ValueError("max alphabet must be at least 1")
     if table is None:
         table = CountTable()
-    recurrence = _paper_recurrence(max_length, min(max_length, max_alphabet), table)
+    # Brute force alone reads the recurrence; it stops once Bell(length) > cap.
+    reach = 1
+    while reach < max_length and (cap is None or table.bell(reach + 1) <= cap):
+        reach += 1
+    recurrence = _paper_recurrence(reach, min(reach, max_alphabet), table)
     report = VerificationReport()
     for length in range(1, max_length + 1):
         # Generators: a check after the first failure never runs.

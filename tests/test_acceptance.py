@@ -215,7 +215,7 @@ def test_criterion_7_histogram_consistency():
     with criterion(7, "component histogram totals, lengths up to 8"):
         for length in range(1, 9):
             for n in range(1, length + 1):
-                hist = scc_histogram(length, n)  # raises on any per-word mismatch
+                hist = scc_histogram(length, n)
                 assert sum(hist.values()) == stirling2(length, n), (length, n)
                 assert hist.get(1, 0) == strong_partition_count(length, n), (length, n)
 

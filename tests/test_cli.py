@@ -16,6 +16,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def decimal(value):
+    """str(value), past the interpreter's 4,300-digit limit where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run_with_stdin(stdin, *argv):
     """The CLI in a fresh interpreter, fed `stdin`."""
     return subprocess.run(
@@ -166,6 +178,14 @@ class TestCount:
         code, out, err = run(capsys, "count", "--length", "20", "--alphabet", "4", "--cap", "1000")
         assert (code, out, err) == (0, "1071592148736\n", "")
 
+    def test_counts_past_the_interpreter_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "count", "--length", "15000", "--alphabet", "2")
+        assert (code, err) == (0, "")
+        assert out == decimal(2 * (2**14999 - 15000)) + "\n"
+        # The limit is lifted for the command only.
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_base_cases_are_never_refused(self, capsys):
         for length, alphabet, count in [(10**30, 1, 1), (5, 10**30, 0), (7, 7, 0)]:
             argv = ["--length", str(length), "--alphabet", str(alphabet), "--partitions"]
@@ -309,13 +329,33 @@ class TestHistogram:
             capsys, "histogram", "--length", "12", "--alphabet", "3", "--cap", "100"
         )
         assert code == 2
-        # Bell(2000) has over 4,300 digits: neither computed nor printed.
+        # The scan's cost model refuses before any work.
         start = time.perf_counter()
-        code, out, err = run(capsys, "histogram", "--length", "2000", "--alphabet", "2")
+        code, out, err = run(capsys, "histogram", "--length", "2000", "--alphabet", "100")
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert err == "error: enumerating length 2000 means more words than the cap 10000000\n"
+        assert err.startswith("error: counting to length 2000 over 100 symbols costs about ")
+        assert err.endswith(" steps, more than the cap 10000000\n")
+
+    def test_lengths_past_enumeration(self, capsys):
+        code, out, err = run(capsys, "histogram", "--length", "2000", "--alphabet", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"1,{2**1999 - 2000}", "2,1999"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "histogram", "--length", "400", "--alphabet", "20")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 20
+        assert out.splitlines()[-1] == f"20,{math.comb(399, 19)}"
+
+    def test_counts_past_the_interpreter_digit_limit(self, capsys):
+        argv = ["--length", "15000", "--alphabet", "2"]
+        code, out, err = run(capsys, "histogram", *argv)
+        assert (code, out) == (2, "")
+        code, out, err = run(capsys, "histogram", *argv, "--cap", "20000000")
+        assert (code, err) == (0, "")
+        assert out == f"1,{decimal(2**14999 - 15000)}\n2,14999\n"
 
 class TestHarnessContract:
     def test_no_command_is_usage_error(self, capsys):

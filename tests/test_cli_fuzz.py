@@ -7,11 +7,12 @@ empty word instead of waiting on a terminal.  Whatever the input, main
 returns 0, 1 or 2 (and 3 for `verify`) without raising, and writes nothing
 to stderr unless it returns 2.
 
-`count` and `table` sizes are drawn without an upper limit, with and
-without a small `--cap`: the work bound refuses a large request before any
-work starts.  `histogram` and `verify` sizes stay below small limits, since
-a run under their default cap can still take minutes.  An integer argument
-is either a number or text that `int()` rejects.
+`count`, `table` and `histogram` sizes are drawn without an upper limit,
+with and without a small `--cap`: the scan's cost model refuses a large
+request before any work starts.  `verify` sizes stay below small limits,
+since its closed-form checks have no work bound and a run under its
+default cap can still take minutes.  An integer argument is either a
+number or text that `int()` rejects.
 """
 
 import contextlib
@@ -156,9 +157,11 @@ def test_table_keeps_the_contract(max_length, max_alphabet, cap):
 
 
 @FUZZ
-@given(int_arg(8), int_arg(8), optional("--cap", caps))
+@given(int_arg(), int_arg(), optional("--cap", caps))
 @example("8", "4", [])
 @example("8", "4", ["--cap", "100"])
+@example("400", "20", [])
+@example(str(10**9), "1", [])
 def test_histogram_keeps_the_contract(length, alphabet, flags):
     run(["histogram", "--length", length, "--alphabet", alphabet, *flags], codes=(0, 2))
 

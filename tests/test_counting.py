@@ -1,13 +1,12 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import pytest
 
-import wordgraphs.counting
-from wordgraphs.connectivity import strongly_connected
+from wordgraphs.connectivity import scc_decomposition, strongly_connected
 from wordgraphs.counting import (
     CapExceededError,
-    ComponentMismatchError,
     CountTable,
     bell,
     brute_force_strong_count,
@@ -60,6 +59,15 @@ class TestStirling:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             stirling2(-1, 0)
+
+    def test_filled_cell_is_read_without_walking_the_lower_columns(self):
+        table = CountTable()
+        assert table.stirling2(10, 5) == 42_525
+        # Columns never get shorter as n grows, so column 5 reaching length
+        # 10 says every lower column does; none of them is looked at again.
+        table._stirling[:5] = [None] * 5
+        assert table.stirling2(10, 5) == 42_525
+        assert table.stirling2(7, 5) == 140
 
     def test_bell_numbers(self):
         assert [bell(l) for l in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
@@ -188,17 +196,46 @@ class TestHistogram:
                 assert sum(hist.values()) == stirling2(length, n)
                 assert hist.get(1, 0) == strong_partition_count(length, n)
 
-    def test_cap_guard(self):
-        with pytest.raises(CapExceededError):
-            scc_histogram(12, 3, cap=1000)
+    def test_matches_per_word_components(self):
+        for length in range(1, 9):
+            for n in range(1, length + 1):
+                enumerated: dict[int, int] = {}
+                for word in iter_canonical_words(length, n):
+                    count = scc_decomposition(build_graph(word)).count
+                    enumerated[count] = enumerated.get(count, 0) + 1
+                assert scc_histogram(length, n) == dict(sorted(enumerated.items())), (length, n)
 
-    def test_component_mismatch_raises(self, monkeypatch):
-        real = wordgraphs.counting.split_points
-        monkeypatch.setattr(
-            "wordgraphs.counting.split_points", lambda word: [*real(word), word.length]
-        )
-        with pytest.raises(ComponentMismatchError):
-            scc_histogram(4, 2)
+    @pytest.mark.parametrize("length, n", [(12, 5), (30, 8), (40, 12)])
+    def test_convolution_of_strong_counts(self, length, n):
+        # A canonical word is its first strong factor followed by a canonical
+        # word on the remaining, disjoint symbols, so the c-component bucket
+        # is the c-fold convolution of T.  T comes from the paper's recurrence.
+        strong = _paper_recurrence(length, n, CountTable())
+
+        @lru_cache(maxsize=None)
+        def buckets(c, l, m):
+            if c == 0:
+                return int(l == m == 0)
+            return sum(
+                strong[m1][l1] * buckets(c - 1, l - l1, m - m1)
+                for m1 in range(1, m - c + 2)
+                for l1 in range(m1, l - (m - m1) + 1)
+            )
+
+        expected = {c: buckets(c, length, n) for c in range(1, n + 1)}
+        assert scc_histogram(length, n) == {c: h for c, h in expected.items() if h}
+
+    def test_two_symbol_closed_form(self):
+        # Strong: T(l, 2) = 2^(l-1) - l.  Two components: a^i b^(l-i).
+        assert scc_histogram(2000, 2) == {1: 2**1999 - 2000, 2: 1999}
+
+    def test_cap_guard(self):
+        # The scan's cost model, times the n components it counts.
+        with pytest.raises(CapExceededError):
+            scc_histogram(400, 20, cap=8_000_000)
+        assert scc_histogram(12, 3, cap=1000) == {1: 82_509, 2: 3_962, 3: 55}
+        with pytest.raises(CapExceededError):
+            scc_histogram(10**9, 10**6)
 
 
 class TestCsv:

@@ -1,7 +1,7 @@
 import pytest
 
 import wordgraphs.connectivity
-import wordgraphs.counting
+import wordgraphs.verify
 from wordgraphs.counting import CountTable
 from wordgraphs.verify import run_verification
 
@@ -49,9 +49,9 @@ def test_corrupted_memo_is_caught_and_named():
 
 def test_component_mismatch_is_caught_and_named(monkeypatch):
     # One extra split point makes the factor count disagree with the graph.
-    real = wordgraphs.counting.split_points
+    real = wordgraphs.verify.split_points
     monkeypatch.setattr(
-        "wordgraphs.counting.split_points", lambda word: [*real(word), word.length]
+        "wordgraphs.verify.split_points", lambda word: [*real(word), word.length]
     )
     report = run_verification(6)
     assert not report.passed
@@ -74,6 +74,26 @@ def test_cap_skips_instead_of_failing():
     family = [line for line in report.lines if line.startswith("check=family")]
     assert len(family) == 1 + 2 + 3 + 4 + 5
     assert all(line.endswith("status=ok") for line in family)
+
+
+def test_recurrence_is_filled_only_as_far_as_the_cap_admits(monkeypatch):
+    real = wordgraphs.verify._paper_recurrence
+    bounds = []
+
+    def spy(max_length, max_alphabet, table):
+        bounds.append((max_length, max_alphabet))
+        return real(max_length, max_alphabet, table)
+
+    monkeypatch.setattr("wordgraphs.verify._paper_recurrence", spy)
+    # Bell(7) = 877 <= 1000 < Bell(8) = 4140: brute force stops after length 7.
+    report = run_verification(30, cap=1000)
+    assert report.passed
+    assert bounds == [(7, 7)]
+    assert any(line.startswith("check=recurrence l=7 n=7 recurrence=") for line in report.lines)
+    assert "check=recurrence l=8 n=1 status=skipped reason=cap" in report.lines
+    bounds.clear()
+    assert run_verification(6, max_alphabet=3, cap=None).passed
+    assert bounds == [(6, 3)]
 
 
 def test_bounds_validated():
