@@ -10,6 +10,7 @@ on success.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .connectivity import (
@@ -34,7 +35,12 @@ from .verify import run_verification
 from .words import Word, letters_text, parse_word, symbol_name
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused by later ones.
+
+    Parsing keeps no state in the parser: each call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="wordgraphs",
         description="Build and analyze the digraphs encoded by words.",
@@ -111,7 +117,7 @@ def _cmd_check(args) -> int:
     bridge_text = ";".join(
         f"{symbol_name(u, n)}->{symbol_name(v, n)}" for u, v in bridges(graph)
     )
-    print(f"word={word.text()}")
+    print(f"word={letters_text(word.letters, n)}")
     print(f"strong={'true' if strong else 'false'}")
     print(f"weak={'true' if weakly_connected(graph) else 'false'}")
     print(f"lambda={'n/a' if cut is None else cut}")

@@ -100,7 +100,11 @@ def strongly_connected(graph: Digraph) -> bool:
 def weakly_connected(graph: Digraph) -> bool:
     """True when the underlying undirected graph is connected."""
     _require_vertices(graph)
-    adj = _multigraph(graph)
+    return _connected(_multigraph(graph))
+
+
+def _connected(adj: dict) -> bool:
+    """True when a search from any one vertex of the non-empty `adj` reaches all."""
     start = next(iter(adj))
     seen = {start}
     frontier = [start]
@@ -164,9 +168,9 @@ def edge_connectivity(graph: Digraph) -> int | None:
     _require_vertices(graph)
     if len(graph.vertices) == 1:
         return None
-    if not weakly_connected(graph):
-        return 0
     capacity = _multigraph(graph)
+    if not _connected(capacity):
+        return 0
     best = min(sum(row.values()) for row in capacity.values())
     source, *sinks = sorted(capacity)
     for sink in sinks:

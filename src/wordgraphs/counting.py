@@ -216,16 +216,18 @@ def _check_table_cap(
     the length * m cells (m = min(length, alphabet_size)) takes about m
     updates per component counted, and an update costs one more unit per
     4096 bits of the largest count (counts average half that size over the
-    scan).  Keeping a cell costs one unit per 64 bits, which bounds the
-    scan's memory.  Decimal conversion is quadratic in the size of a
-    number: with `rows` every cell is printed, else one count per component.
+    scan).  Keeping a cell costs one unit, plus one per 64 bits, which bounds
+    the scan's memory.  Decimal conversion is quadratic in the size of a
+    number: with `rows` every cell is printed, else one count per component,
+    and each printed count costs at least one unit.  So no cell is free,
+    even when m = 1 and every count is 1.
     """
     m = min(length, alphabet_size)
     # No count in the scan exceeds m^length, so none is longer than this.
     bits = length * (m - 1).bit_length()
     cells = length * m
-    cost = components * cells * (m * (1 + bits // 4096) + bits // 64)
-    cost += (cells if rows else components) * (bits // 512) ** 2
+    cost = components * cells * (m * (1 + bits // 4096) + 1 + bits // 64)
+    cost += (cells if rows else components) * (1 + (bits // 512) ** 2)
     if cost > cap:
         raise CapExceededError(
             f"counting to length {length} over {m} symbols costs about {cost} steps, "

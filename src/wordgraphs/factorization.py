@@ -20,16 +20,22 @@ from .words import Word
 def split_points(word: Word) -> list[int]:
     """1-based positions where the prefix's alphabet is closed off.
 
-    One left-to-right scan: position j splits the word exactly when the
-    largest last-occurrence among the symbols seen so far is j itself.
+    Symbols are taken in order of first occurrence, each with the span from
+    its first to its last occurrence.  A prefix is closed off exactly where
+    the next symbol first occurs past the furthest span end so far.  The
+    scans over the letters run in C (the dict of last occurrences and
+    `tuple.index` resuming at the previous first occurrence), so the Python
+    loop is once per symbol.
     """
-    last = {c: i for i, c in enumerate(word.letters, start=1)}
+    letters = word.letters
     out = []
-    reach = 0
-    for j, c in enumerate(word.letters[:-1], start=1):
-        reach = max(reach, last[c])
-        if reach == j:
-            out.append(j)
+    reach = first = 0
+    for c, last in dict(zip(letters, range(1, len(letters) + 1))).items():
+        first = letters.index(c, first)
+        if first == reach and reach:
+            out.append(reach)
+        if last > reach:
+            reach = last
     return out
 
 

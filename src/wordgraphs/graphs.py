@@ -51,10 +51,11 @@ class Digraph:
 
 def build_graph(word: Word) -> Digraph:
     """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs."""
-    edges = {
-        (a, b) for a, b in zip(word.letters, word.letters[1:]) if a != b
-    }
-    return Digraph(frozenset(range(word.alphabet_size)), frozenset(edges))
+    letters = word.letters
+    # Collapse repeats in C first, so self-loops are dropped once per distinct pair.
+    pairs = set(zip(letters, letters[1:]))
+    edges = frozenset(pair for pair in pairs if pair[0] != pair[1])
+    return Digraph(frozenset(range(word.alphabet_size)), edges)
 
 
 def letter_labeled(graph: Digraph) -> Digraph:

@@ -69,11 +69,16 @@ def symbol_name(symbol: int, alphabet_size: int) -> str:
     return str(symbol)
 
 
+# Byte i becomes the letter of symbol i, so short alphabets render in C.
+_LETTER_TABLE = bytes.maketrans(bytes(range(26)), b"abcdefghijklmnopqrstuvwxyz")
+
+
 def letters_text(letters: tuple[int, ...], alphabet_size: int) -> str:
     """Text for symbol ids: letters for alphabets up to 26, else comma-separated ids."""
-    names = {c: symbol_name(c, alphabet_size) for c in set(letters)}
-    separator = "" if alphabet_size <= 26 else ","
-    return separator.join([names[c] for c in letters])
+    if alphabet_size <= 26:
+        return bytes(letters).translate(_LETTER_TABLE).decode("ascii")
+    names = {c: str(c) for c in set(letters)}
+    return ",".join(map(names.__getitem__, letters))
 
 
 def parse_word(text: str) -> Word:
@@ -85,18 +90,20 @@ def parse_word(text: str) -> Word:
     if not text:
         raise EmptyWordError("empty input")
     if _LETTERS_RE.match(text):
-        symbols: list[str] = list(text)
+        symbols: str | list[str] = text
     elif _TOKENS_RE.match(text):
         symbols = text.split(",")
-        if any(not tok.isdigit() for tok in symbols):
+        # Every character is a digit or a comma, so only an empty token is malformed.
+        if "" in symbols:
             raise InvalidWordError(f"malformed token list: {text!r}")
-        # Tokens are decimal ids, so "01" and "1" name the same symbol.
-        symbols = [tok.lstrip("0") or "0" for tok in symbols]
     else:
         raise InvalidWordError(f"unsupported characters in {text!r}")
-    ids: dict[str, int] = {}
-    letters = tuple(ids.setdefault(s, len(ids)) for s in symbols)
-    return Word(letters)
+    # Tokens are decimal ids, so "01" and "1" name the same symbol.  Each
+    # distinct symbol is named once, in order of first occurrence, and the
+    # letters are mapped to ids in C.
+    names: dict[str, int] = {}
+    ids = {s: names.setdefault(s.lstrip("0") or "0", len(names)) for s in dict.fromkeys(symbols)}
+    return Word(tuple(map(ids.__getitem__, symbols)))
 
 
 def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:

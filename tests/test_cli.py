@@ -233,6 +233,20 @@ class TestTable:
         code, out, err = run(capsys, "table", "--max-length", str(10**9), "--max-alphabet", "1")
         assert (code, out) == (2, "")
 
+    def test_one_symbol_cells_are_not_free(self, capsys, monkeypatch):
+        # Over one symbol every count is 1, so only the per-cell units price
+        # the kept and the printed rows; the refusal comes before any work.
+        def no_table(*args):
+            raise AssertionError("the table was built past the cap")
+
+        monkeypatch.setattr("wordgraphs.cli.csv_lines", no_table)
+        code, out, err = run(capsys, "table", "--max-length", "10000000", "--max-alphabet", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: counting to length 10000000 over 1 symbols costs about 30000000 steps, "
+            "more than the cap 10000000\n"
+        )
+
     def test_unwritable_file(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -368,6 +382,24 @@ class TestHarnessContract:
         third = run(capsys, "table", "--max-length", "6", "--max-alphabet", "6")
         fourth = run(capsys, "table", "--max-length", "6", "--max-alphabet", "6")
         assert third == fourth
+
+    def test_parser_reuse_matches_fresh_interpreters(self, capsys):
+        # One process builds the parser once; each call must parse as if fresh.
+        sequence = [
+            ["check", "--verbose", "abcb"],
+            ["check", "abcb"],
+            ["verify", "--max-length", "4", "--max-alphabet", "3"],
+            ["count", "--length", "3"],
+            ["verify", "--max-length", "4"],
+            ["histogram", "--length", "5", "--alphabet", "2"],
+        ]
+        codes = []
+        for argv in sequence:
+            fresh = run_with_stdin("", *argv)
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(fresh.returncode)
+        # The usage error (no --alphabet) sits between two valid calls.
+        assert codes == [1, 1, 0, 2, 0, 0]
 
     def test_success_keeps_stderr_empty(self, capsys):
         for argv in (

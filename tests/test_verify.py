@@ -96,6 +96,30 @@ def test_recurrence_is_filled_only_as_far_as_the_cap_admits(monkeypatch):
     assert bounds == [(6, 3)]
 
 
+def test_brute_force_is_never_asked_past_the_reach(monkeypatch):
+    real = wordgraphs.verify.brute_force_strong_count
+    lengths = []
+
+    def spy(length, alphabet_size, cap):
+        lengths.append(length)
+        return real(length, alphabet_size, cap)
+
+    monkeypatch.setattr("wordgraphs.verify.brute_force_strong_count", spy)
+    # Bell(7) = 877 <= 1000 < Bell(8) = 4140: the reach is 7.
+    report = run_verification(30, cap=1000)
+    assert report.passed
+    assert max(lengths) == 7
+    refused = [line for line in report.lines if line.startswith("check=recurrence l=30 ")]
+    assert len(refused) == 30
+    assert all(line.endswith("status=skipped reason=cap") for line in refused)
+    # Within the reach, brute force's own cap check still refuses: at cap 0
+    # even length 1, one word, is over it.
+    lengths.clear()
+    report = run_verification(4, cap=0)
+    assert lengths == [1]
+    assert report.lines[0] == "check=recurrence l=1 n=1 status=skipped reason=cap"
+
+
 def test_bounds_validated():
     with pytest.raises(ValueError):
         run_verification(1)
