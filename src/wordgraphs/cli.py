@@ -13,12 +13,7 @@ import argparse
 import functools
 import sys
 
-from .connectivity import (
-    bridges,
-    edge_connectivity,
-    scc_decomposition,
-    weakly_connected,
-)
+from .connectivity import bridges, edge_connectivity, scc_decomposition
 from .counting import (
     DEFAULT_CAP,
     CountTable,
@@ -119,7 +114,8 @@ def _cmd_check(args) -> int:
     )
     print(f"word={letters_text(word.letters, n)}")
     print(f"strong={'true' if strong else 'false'}")
-    print(f"weak={'true' if weakly_connected(graph) else 'false'}")
+    # Lambda is 0 exactly when the graph is weakly disconnected, None for one vertex.
+    print(f"weak={'true' if cut != 0 else 'false'}")
     print(f"lambda={'n/a' if cut is None else cut}")
     print(f"bridges={bridge_text}")
     print("factors=" + "|".join(letters_text(f, n) for f in factors))

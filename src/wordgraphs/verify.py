@@ -5,7 +5,9 @@ from first principles and compared: the recurrence against brute-force
 enumeration, the equivalence of strong connectivity with 2-edge
 connectivity and with unfactorizability, the bridge count against the
 factorization cardinality, component counts, family cardinalities, and
-histogram totals.  Checks stop at the first counterexample.
+histogram totals.  Checks stop at the first counterexample.  The cap is
+decided once, before any work: a run checks every length it is asked for,
+or raises `CapExceededError`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .connectivity import bridges, edge_connectivity, scc_decomposition, weakly_connected
-from .counting import (
-    DEFAULT_CAP,
-    CapExceededError,
-    CountTable,
-    brute_force_strong_count,
-    _check_cap,
-)
+from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
 from .factorization import split_points
 from .graphs import build_graph
 from .words import iter_canonical_words
@@ -50,7 +46,6 @@ class VerificationReport:
 # FAIL and never resumes that check, so a check need not return after one.
 OK = "ok"
 FAIL = "fail"
-SKIPPED = "skipped reason=cap"
 Check = Iterator[tuple[str, str]]
 
 
@@ -90,22 +85,13 @@ def _paper_recurrence(max_length: int, max_alphabet: int, table: CountTable) -> 
 
 
 def _verify_recurrence(
-    length: int, max_alphabet: int, table: CountTable, cap: int | None,
-    reach: int, recurrence: list[list[int]],
+    length: int, max_alphabet: int, table: CountTable, recurrence: list[list[int]]
 ) -> Check:
     """The recurrence, the table's transfer scan and brute force: three
-    derivations that share no code.  Past `reach`, the longest length the
-    cap lets brute force enumerate, every cell is refused without asking it."""
+    derivations that share no code."""
     for n in range(1, min(length, max_alphabet) + 1):
         label = f"check=recurrence l={length} n={n}"
-        if length > reach:
-            yield label, SKIPPED
-            continue
-        try:
-            enumerated = brute_force_strong_count(length, n, cap)
-        except CapExceededError:
-            yield label, SKIPPED
-            continue
+        enumerated = brute_force_strong_count(length, n, cap=None)
         expected, scan = recurrence[n][length], table.strong_partition_count(length, n)
         text = f"{label} recurrence={expected} scan={scan} enumerated={enumerated}"
         yield text, OK if expected == scan == enumerated else FAIL
@@ -119,14 +105,9 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         yield text, OK if expected == actual else FAIL
 
 
-def _verify_words(length: int, max_alphabet: int, table: CountTable, cap: int | None) -> Check:
+def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
     """Per-word structural checks plus histogram totals for one length."""
     label = f"check=equivalence l={length}"
-    try:
-        _check_cap(length, cap)
-    except CapExceededError:
-        yield label, SKIPPED
-        return
     exact_cut = length <= FULL_CUT_LENGTH
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
@@ -172,9 +153,10 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full identity suite for all lengths up to `max_length`.
 
-    `table` supplies the Stirling numbers and the transfer scan's counts;
-    passing a pre-seeded table is how the harness's own failure path is
-    tested.
+    Raises `CapExceededError`, before any work, when the words of
+    `max_length` are more canonical words than `cap`.  `table` supplies the
+    Stirling numbers and the transfer scan's counts; passing a pre-seeded
+    table is how the harness's own failure path is tested.
     """
     if max_length < 2:
         raise ValueError("max length must be at least 2")
@@ -182,20 +164,17 @@ def run_verification(
         max_alphabet = max_length
     if max_alphabet < 1:
         raise ValueError("max alphabet must be at least 1")
+    _check_cap(max_length, cap)
     if table is None:
         table = CountTable()
-    # Brute force alone reads the recurrence; it stops once Bell(length) > cap.
-    reach = 1
-    while reach < max_length and (cap is None or table.bell(reach + 1) <= cap):
-        reach += 1
-    recurrence = _paper_recurrence(reach, min(reach, max_alphabet), table)
+    recurrence = _paper_recurrence(max_length, min(max_length, max_alphabet), table)
     report = VerificationReport()
     for length in range(1, max_length + 1):
         # Generators: a check after the first failure never runs.
         checks = (
-            _verify_recurrence(length, max_alphabet, table, cap, reach, recurrence),
+            _verify_recurrence(length, max_alphabet, table, recurrence),
             _verify_family(length, max_alphabet, table),
-            _verify_words(length, max_alphabet, table, cap),
+            _verify_words(length, max_alphabet, table),
         )
         for check in checks:
             for text, status in check:

@@ -281,6 +281,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-length", "1")
         assert code == 2
 
+    def test_over_the_cap_checks_nothing(self, capsys):
+        # Bell(9) = 21,147 > 1000: no length is checked, so nothing passes.
+        code, out, err = run(capsys, "verify", "--max-length", "9", "--cap", "1000", "--verbose")
+        assert (code, out) == (2, "")
+        assert err == "error: enumerating length 9 means more words than the cap 1000\n"
+
+    def test_over_the_cap_is_refused_before_any_work(self):
+        for argv in (["--max-length", "400", "--cap", "1000"], ["--max-length", str(10**30)]):
+            start = time.perf_counter()
+            proc = run_with_stdin("", "verify", *argv)
+            assert time.perf_counter() - start < 1
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 class TestRepresent:
     def write(self, tmp_path, text):
         path = tmp_path / "graph.json"

@@ -9,10 +9,11 @@ to stderr unless it returns 2.
 
 `count`, `table` and `histogram` sizes are drawn without an upper limit,
 with and without a small `--cap`: the scan's cost model refuses a large
-request before any work starts.  `verify` sizes stay below small limits,
-since its closed-form checks have no work bound and a run under its
-default cap can still take minutes.  An integer argument is either a
-number or text that `int()` rejects.
+request before any work starts.  So does `verify`'s cap on the words it
+enumerates, so its sizes are drawn without an upper limit whenever a
+small `--cap` is; without one, `--max-length` stays at 6, since the
+default cap admits length 12, which takes minutes.  An integer argument is
+either a number or text that `int()` rejects.
 """
 
 import contextlib
@@ -166,16 +167,23 @@ def test_histogram_keeps_the_contract(length, alphabet, flags):
     run(["histogram", "--length", length, "--alphabet", alphabet, *flags], codes=(0, 2))
 
 
+# A --cap of at most 10**4 admits lengths up to 8 (Bell(8) = 4140).
+verify_sizes = st.tuples(int_arg(6), st.just([])) | st.tuples(
+    int_arg(), caps.map(lambda cap: ["--cap", cap])
+)
+
+
 @FUZZ
 @given(
-    int_arg(6),
-    optional("--max-alphabet", int_arg(8)),
-    optional("--cap", caps),
+    verify_sizes,
+    optional("--max-alphabet", int_arg()),
     optional("--seed-count", seed_counts),
     st.sampled_from([[], ["--verbose"]]),
 )
-@example("6", [], [], [], ["--verbose"])
-@example("6", ["--max-alphabet", "3"], ["--cap", "10000"], ["--seed-count", "5:3:8"], [])
-def test_verify_keeps_the_contract(max_length, max_alphabet, cap, seed_count, verbose):
-    flags = [*max_alphabet, *cap, *seed_count, *verbose]
-    run(["verify", "--max-length", max_length, *flags], codes=(0, 2, 3))
+@example(("6", []), [], [], ["--verbose"])
+@example(("6", ["--cap", "10000"]), ["--max-alphabet", "3"], ["--seed-count", "5:3:8"], [])
+@example(("400", ["--cap", "1000"]), [], [], [])
+@example((str(10**30), ["--cap", "10000"]), ["--max-alphabet", str(10**30)], [], [])
+def test_verify_keeps_the_contract(size, max_alphabet, seed_count, verbose):
+    (max_length, cap), flags = size, [*max_alphabet, *seed_count, *verbose]
+    run(["verify", "--max-length", max_length, *cap, *flags], codes=(0, 2, 3))

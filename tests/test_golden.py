@@ -130,10 +130,11 @@ VERIFY_EXPECTED = {
         89,
         "c5691b8054274447f51f684b94d39979375424185a277d673448a26ea87cec78",
     ),
-    ("--max-length", "13", "--cap", "1000"): (
+    # Bell(7) = 877: the largest run this cap admits.
+    ("--max-length", "7", "--cap", "877"): (
         0,
-        203,
-        "f2c04bb6fb11a8fc8fbe8fcf2bf9a90b83d9d5b7749c4949bcee8a6252c2af05",
+        71,
+        "dc1f6af0fbc7d2ed045e975b0f21e376292295d284e7e2e9874359bf1110b9d8",
     ),
     ("--max-length", "6", "--seed-count", "5:3:8"): (
         3,

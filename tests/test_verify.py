@@ -2,7 +2,7 @@ import pytest
 
 import wordgraphs.connectivity
 import wordgraphs.verify
-from wordgraphs.counting import CountTable
+from wordgraphs.counting import CapExceededError, CountTable
 from wordgraphs.verify import run_verification
 
 
@@ -66,17 +66,17 @@ def test_alphabet_bound_restricts_checks():
     assert not any(" n=3 " in line for line in report.lines)
 
 
-def test_cap_skips_instead_of_failing():
-    report = run_verification(5, cap=10)
+def test_boundary_run_the_cap_admits_checks_every_length():
+    # Bell(7) = 877: the cap admits length 7 exactly, and nothing is skipped.
+    report = run_verification(7, cap=877)
     assert report.passed
-    assert any("status=skipped reason=cap" in line for line in report.lines)
-    # The family check is closed-form, so the cap never skips it.
-    family = [line for line in report.lines if line.startswith("check=family")]
-    assert len(family) == 1 + 2 + 3 + 4 + 5
-    assert all(line.endswith("status=ok") for line in family)
+    assert all(line.endswith(" status=ok") for line in report.lines)
+    equivalence = [line for line in report.lines if line.startswith("check=equivalence ")]
+    assert len(equivalence) == 7
+    assert any(line.startswith("check=recurrence l=7 n=7 recurrence=") for line in report.lines)
 
 
-def test_recurrence_is_filled_only_as_far_as_the_cap_admits(monkeypatch):
+def test_recurrence_is_filled_to_the_requested_bounds(monkeypatch):
     real = wordgraphs.verify._paper_recurrence
     bounds = []
 
@@ -85,39 +85,24 @@ def test_recurrence_is_filled_only_as_far_as_the_cap_admits(monkeypatch):
         return real(max_length, max_alphabet, table)
 
     monkeypatch.setattr("wordgraphs.verify._paper_recurrence", spy)
-    # Bell(7) = 877 <= 1000 < Bell(8) = 4140: brute force stops after length 7.
-    report = run_verification(30, cap=1000)
-    assert report.passed
+    assert run_verification(7, cap=877).passed
     assert bounds == [(7, 7)]
-    assert any(line.startswith("check=recurrence l=7 n=7 recurrence=") for line in report.lines)
-    assert "check=recurrence l=8 n=1 status=skipped reason=cap" in report.lines
     bounds.clear()
     assert run_verification(6, max_alphabet=3, cap=None).passed
     assert bounds == [(6, 3)]
 
 
-def test_brute_force_is_never_asked_past_the_reach(monkeypatch):
-    real = wordgraphs.verify.brute_force_strong_count
-    lengths = []
-
-    def spy(length, alphabet_size, cap):
-        lengths.append(length)
-        return real(length, alphabet_size, cap)
-
-    monkeypatch.setattr("wordgraphs.verify.brute_force_strong_count", spy)
-    # Bell(7) = 877 <= 1000 < Bell(8) = 4140: the reach is 7.
-    report = run_verification(30, cap=1000)
-    assert report.passed
-    assert max(lengths) == 7
-    refused = [line for line in report.lines if line.startswith("check=recurrence l=30 ")]
-    assert len(refused) == 30
-    assert all(line.endswith("status=skipped reason=cap") for line in refused)
-    # Within the reach, brute force's own cap check still refuses: at cap 0
-    # even length 1, one word, is over it.
-    lengths.clear()
-    report = run_verification(4, cap=0)
-    assert lengths == [1]
-    assert report.lines[0] == "check=recurrence l=1 n=1 status=skipped reason=cap"
+def test_over_the_cap_is_refused_before_any_work(monkeypatch):
+    calls = []
+    for name in ("brute_force_strong_count", "_paper_recurrence", "iter_canonical_words"):
+        monkeypatch.setattr(
+            f"wordgraphs.verify.{name}", lambda *args, name=name, **kw: calls.append(name)
+        )
+    # Bell(8) = 4140 > 877, and at cap 0 even length 0, one word, is over it.
+    for max_length, cap in ((8, 877), (4, 0), (10**30, 1000)):
+        with pytest.raises(CapExceededError):
+            run_verification(max_length, cap=cap)
+    assert calls == []
 
 
 def test_bounds_validated():
