@@ -7,7 +7,8 @@ connectivity and with unfactorizability, the bridge count against the
 factorization cardinality, component counts, family cardinalities, and
 histogram totals.  Checks stop at the first counterexample.  The cap is
 decided once, before any work: a run checks every length it is asked for,
-or raises `CapExceededError`.
+or raises `CapExceededError`.  The graph layers run once per distinct word
+graph; the word-side derivations and the comparisons run for every word.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Iterator
 from .connectivity import bridges, edge_connectivity, scc_decomposition, weakly_connected
 from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
 from .factorization import split_points
-from .graphs import build_graph
+from .graphs import Digraph, build_graph
 from .words import iter_canonical_words
 
-# Up to this length each word's exact minimum cut is also computed, by max
-# flow independent of `bridges`, and "cut >= 2" is checked against strong
-# connectivity and the factor count.  Longer words take "cut >= 2" from the
-# bridge predicate alone (weakly connected and bridge-free); the report
-# labels that mode `cut=deletion`.
+# Up to this length each distinct word graph's exact minimum cut is also
+# computed, by max flow independent of `bridges`, and "cut >= 2" is checked
+# against strong connectivity and each word's factor count.  Longer words
+# take "cut >= 2" from the bridge predicate alone (weakly connected and
+# bridge-free); the report labels that mode `cut=deletion`.
 FULL_CUT_LENGTH = 7
 
 
@@ -105,30 +106,50 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         yield text, OK if expected == actual else FAIL
 
 
+def _graph_facts(graph: Digraph, exact_cut: bool) -> tuple[int, int, bool, bool]:
+    """(components, bridges, weakly connected, 2-edge-connected) from the
+    graph layers alone; the minimum cut by max flow when `exact_cut`."""
+    components = scc_decomposition(graph).count
+    bridge_count = len(bridges(graph))
+    weak = weakly_connected(graph)
+    two_edge_connected = not bridge_count
+    if exact_cut and len(graph.vertices) >= 2:
+        two_edge_connected = edge_connectivity(graph) >= 2
+    return components, bridge_count, weak, two_edge_connected
+
+
 def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
-    """Per-word structural checks plus histogram totals for one length."""
+    """Per-word structural checks plus histogram totals for one length.
+
+    Many words share a graph, so the graph layers run once per distinct edge
+    set; every word is still built, factored and checked against its graph's
+    facts, and a failure names the first word that shows it.
+    """
     label = f"check=equivalence l={length}"
     exact_cut = length <= FULL_CUT_LENGTH
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         histogram: dict[int, int] = {}
+        # Keyed by the edge set as a bit mask: word graphs of one alphabet
+        # size share the vertex set range(n), so the edges determine them.
+        facts: dict[int, tuple[int, int, bool, bool]] = {}
         for word in iter_canonical_words(length, n):
             words += 1
             graph = build_graph(word)
+            key = sum(1 << (u * n + v) for u, v in graph.edges)
+            if key not in facts:
+                facts[key] = _graph_facts(graph, exact_cut)
             # Two derivations: the graph's components, the word's factors.
-            components, k = scc_decomposition(graph).count, len(split_points(word)) + 1
+            components, bridge_count, weak, two_edge_connected = facts[key]
+            k = len(split_points(word)) + 1
             strong = components == 1
-            bridge_list = bridges(graph)
-            if not weakly_connected(graph):
+            if not weak:
                 yield f"{label} word={word.text()} detail=weakly-disconnected", FAIL
-            two_edge_connected = not bridge_list
-            if n >= 2 and exact_cut:
-                two_edge_connected = edge_connectivity(graph) >= 2
             if not (strong == two_edge_connected == (k == 1)):
                 detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
                 yield f"{label} word={word.text()} detail={detail}", FAIL
-            if len(bridge_list) != k - 1:
-                detail = f"bridges:{len(bridge_list)},factors:{k}"
+            if bridge_count != k - 1:
+                detail = f"bridges:{bridge_count},factors:{k}"
                 yield f"{label} word={word.text()} detail={detail}", FAIL
             if components != k:
                 detail = f"components:{components},factors:{k}"

@@ -1,6 +1,5 @@
 import pytest
 
-import wordgraphs.connectivity
 import wordgraphs.verify
 from wordgraphs.counting import CapExceededError, CountTable
 from wordgraphs.verify import run_verification
@@ -15,19 +14,69 @@ def test_small_run_passes():
     assert any(line.startswith("check=equivalence l=6") for line in report.lines)
 
 
-def test_bridges_runs_once_per_word(monkeypatch):
-    real = wordgraphs.connectivity.bridges
-    calls = []
+def test_graph_layers_run_once_per_distinct_graph(monkeypatch):
+    calls = {}
+    for name in (
+        "bridges",
+        "scc_decomposition",
+        "weakly_connected",
+        "edge_connectivity",
+        "build_graph",
+        "split_points",
+    ):
+        real = getattr(wordgraphs.verify, name)
 
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
+        def counting(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
 
-    for module in ("wordgraphs.connectivity", "wordgraphs.verify"):
-        monkeypatch.setattr(f"{module}.bridges", counting)
+        monkeypatch.setattr(f"wordgraphs.verify.{name}", counting)
     assert run_verification(5).passed
-    # Bell(1) + ... + Bell(5) canonical words are swept.
-    assert len(calls) == 1 + 2 + 5 + 15 + 52
+    # Distinct word graphs at lengths 1..5: 1 + 2 + 4 + 8 + 20, of which one
+    # per length has a single vertex and no cut to compute.
+    distinct = 1 + 2 + 4 + 8 + 20
+    # Every canonical word, Bell(1) + ... + Bell(5), is still built and factored.
+    words = 1 + 2 + 5 + 15 + 52
+    assert calls == {
+        "bridges": distinct,
+        "scc_decomposition": distinct,
+        "weakly_connected": distinct,
+        "edge_connectivity": distinct - 5,
+        "build_graph": words,
+        "split_points": words,
+    }
+
+
+def test_word_side_fault_on_a_cached_graph_is_caught(monkeypatch):
+    # abb has the graph {(0, 1)} that aab already had analysed at l=3, n=2.
+    real = wordgraphs.verify.split_points
+
+    def lying(word):
+        points = real(word)
+        return [] if word.text() == "abb" else points
+
+    monkeypatch.setattr("wordgraphs.verify.split_points", lying)
+    report = run_verification(3)
+    assert not report.passed
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert "check=equivalence l=3" in failure
+    assert "word=abb" in failure
+
+
+def test_graph_side_fault_names_the_first_word_with_that_graph(monkeypatch):
+    real = wordgraphs.verify.bridges
+
+    def extra_bridge(graph):
+        found = real(graph)
+        return [*found, (0, 1)] if graph.edges == {(0, 1), (1, 0)} else found
+
+    monkeypatch.setattr("wordgraphs.verify.bridges", extra_bridge)
+    report = run_verification(3)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("check=equivalence l=3 word=aba ")
+    assert report.lines[-1] == report.failures[0]
 
 
 def test_deterministic_output():
