@@ -10,13 +10,12 @@ of weak components, and word graphs are strongly connected precisely when
 they have none.
 
 `bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
-is a separate derivation by s-t max flows and never consults `bridges`, so
-each can check the other.
+is a separate derivation by maximum-adjacency contraction and never consults
+`bridges`, so each can check the other.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -158,54 +157,75 @@ def bridges(graph: Digraph) -> list[tuple]:
 def edge_connectivity(graph: Digraph) -> int | None:
     """Minimum deletions disconnecting the underlying multigraph; None for one vertex.
 
-    Zero for a weakly disconnected graph.  Otherwise the minimum, over every
-    other vertex t, of the max flow from a fixed source to t, on sparse
-    residual capacities where an antiparallel pair has capacity 2.  Each flow
-    stops at the best cut found so far, which starts at the minimum
-    multidegree, and the search ends at 1, the least a weakly connected graph
-    can reach.  So the cost is O(V * lambda * (V + E)).
+    Zero for a weakly disconnected graph.  Otherwise maximum-adjacency
+    contraction (Nagamochi & Ibaraki 1992): `best`, the least cut found so
+    far, starts at the minimum multidegree, and each phase merges at least one
+    pair that no cut below `best` separates, until one vertex is left or
+    `best` is 1.  So the cost is O(phases * E log V) with phases <= V - 1.
     """
     _require_vertices(graph)
     if len(graph.vertices) == 1:
         return None
-    capacity = _multigraph(graph)
-    if not _connected(capacity):
+    adj = _multigraph(graph)
+    if not _connected(adj):
         return 0
-    best = min(sum(row.values()) for row in capacity.values())
-    source, *sinks = sorted(capacity)
-    for sink in sinks:
-        if best == 1:
-            break
-        best = min(best, _max_flow(capacity, source, sink, best))
+    best = min(sum(row.values()) for row in adj.values())
+    while best > 1 and len(adj) > 1:
+        best = _contraction_phase(adj, best)
     return best
 
 
-def _max_flow(capacity: dict, source, sink, limit: int) -> int:
-    """Edmonds-Karp on a copy of symmetric capacities, stopped once the flow reaches limit."""
-    residual = {u: dict(row) for u, row in capacity.items()}
-    flow = 0
-    while flow < limit:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, cap in residual[u].items():
-                if cap > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            break
-        path = []
-        v = sink
-        while v != source:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(residual[u][v] for u, v in path)
-        for u, v in path:
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-        flow += bottleneck
-    return flow
+def _contraction_phase(adj: dict, best: int) -> int:
+    """Contract the connected `adj` in place after one maximum-adjacency order;
+    return `best` lowered to the cuts seen on the way.
+
+    Ordering u lifts each unordered neighbour w's attachment (its weight to
+    the ordered vertices) to some q <= lambda(u, w), and w merges with u when
+    q >= best.  `best` stays at most every degree, so the last vertex, attached
+    by its whole degree (the cut of the phase, Stoer & Wagner 1997), merges too.
+    """
+    attach = dict.fromkeys(adj, 0)
+    parent = dict(zip(adj, adj))
+    buckets = [[next(iter(adj))]]  # by attachment; stale once moved up or ordered
+    top = pending = 0
+    while top >= 0:
+        if not buckets[top]:
+            top -= 1
+        elif attach[u := buckets[top].pop()] == top:
+            pending -= top
+            attach[u] = None
+            for w, c in adj[u].items():
+                a = attach[w]
+                if a is not None:
+                    attach[w] = a = a + c
+                    pending += c
+                    if a >= best:
+                        parent[_find(parent, w)] = _find(parent, u)
+                    if a > top:
+                        buckets += [[] for _ in range(a + 1 - len(buckets))]
+                        top = a
+                    buckets[a].append(w)
+            # The attachments pending are the cut around the ordered vertices,
+            # zero once all are ordered, as `adj` is connected.
+            if 0 < pending < best:
+                best = pending
+                if best == 1:
+                    return 1
+    merged = {v: _find(parent, v) for v in adj if parent[v] != v}
+    for v, r in merged.items():
+        for x, c in adj.pop(v).items():
+            del adj[x][v]
+            if x != r:
+                adj[r][x] = adj[x][r] = adj[r].get(x, 0) + c
+    # A merged vertex's degree is a cut unless it is the lone vertex left.
+    return min(best, min(sum(adj[r].values()) for r in merged.values()) or best)
+
+
+def _find(parent: dict, v):
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .graphs import Digraph, build_graph
 from .words import iter_canonical_words
 
 # Up to this length each distinct word graph's exact minimum cut is also
-# computed, by max flow independent of `bridges`, and "cut >= 2" is checked
+# computed, by contraction independent of `bridges`, and "cut >= 2" is checked
 # against strong connectivity and each word's factor count.  Longer words
 # take "cut >= 2" from the bridge predicate alone (weakly connected and
 # bridge-free); the report labels that mode `cut=deletion`.
@@ -108,7 +108,7 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
 
 def _graph_facts(graph: Digraph, exact_cut: bool) -> tuple[int, int, bool, bool]:
     """(components, bridges, weakly connected, 2-edge-connected) from the
-    graph layers alone; the minimum cut by max flow when `exact_cut`."""
+    graph layers alone; the minimum cut by contraction when `exact_cut`."""
     components = scc_decomposition(graph).count
     bridge_count = len(bridges(graph))
     weak = weakly_connected(graph)

@@ -45,6 +45,8 @@ class Word:
             raise InvalidWordError(
                 f"symbol ids must be exactly 0..{len(ids) - 1}, got {sorted(ids)}"
             )
+        # Not a field, so equality, hashing and repr still see only the letters.
+        object.__setattr__(self, "_alphabet_size", len(ids))
 
     @property
     def length(self) -> int:
@@ -52,7 +54,7 @@ class Word:
 
     @property
     def alphabet_size(self) -> int:
-        return len(set(self.letters))
+        return self._alphabet_size
 
     def text(self) -> str:
         """Presentation form: letters for alphabets up to 26, else comma-separated ids."""

@@ -12,7 +12,7 @@ from wordgraphs.connectivity import (
     weakly_connected,
 )
 from wordgraphs.graphs import Digraph, build_graph
-from wordgraphs.words import iter_canonical_words, parse_word
+from wordgraphs.words import Word, iter_canonical_words, parse_word
 
 
 # ---- oracles: small and dumb on purpose ----
@@ -86,6 +86,10 @@ def all_digraphs(vertex_count):
     for bits in range(1 << len(pairs)):
         edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
         yield Digraph(vertices, edges)
+
+
+def bidirected_clique(vertices):
+    return {(u, v) for u in vertices for v in vertices if u != v}
 
 
 def word_graphs(max_length, min_alphabet=1):
@@ -225,10 +229,44 @@ class TestEdgeConnectivity:
             assert edge_connectivity(g) == cut_oracle(g)
 
     def test_complete_bidirected_graph(self):
-        vertices = frozenset(range(4))
-        edges = frozenset((u, v) for u in vertices for v in vertices if u != v)
-        g = Digraph(vertices, edges)
+        g = Digraph(range(4), bidirected_clique(range(4)))
         assert edge_connectivity(g) == cut_oracle(g) == 6
+
+    def test_minimum_cut_below_minimum_degree(self):
+        # Two bidirected K4s, each vertex of multidegree 6, joined by two
+        # one-way edges: the minimum cut separates the halves, not a vertex.
+        halves = bidirected_clique(range(4)) | bidirected_clique(range(4, 8))
+        g = Digraph(range(8), halves | {(0, 4), (5, 1)})
+        assert min(sum(1 for e in g.edges if v in e) for v in g.vertices) == 6
+        assert edge_connectivity(g) == cut_oracle(g) == 2
+
+    def test_contraction_sums_weights_above_two(self):
+        # Two bidirected K5s (multidegree 8) joined by three one-way edges
+        # with distinct endpoints.  Only once each K5 is contracted do the
+        # three meet in one quotient edge of weight 3; any cut splitting a K5
+        # costs at least 2 * 1 * 4 = 8.
+        halves = bidirected_clique(range(5)) | bidirected_clique(range(5, 10))
+        g = Digraph(range(10), halves | {(0, 5), (1, 6), (7, 2)})
+        assert edge_connectivity(g) == 3
+
+    def test_cycle_word_contracts_once_per_phase(self):
+        # Each maximum-adjacency order of a cycle is a path, so each phase
+        # merges only its last vertex: the worst case, 2,000 phases.
+        g = build_graph(Word(tuple(range(2000)) + (0,)))
+        assert edge_connectivity(g) == 2
+
+    def test_chain_word(self):
+        # Three strong factors joined by two bridges; every vertex has
+        # multidegree at least 2.
+        g = build_graph(parse_word("abcadefdghig"))
+        assert edge_connectivity(g) == cut_oracle(g) == 1
+
+    def test_bridge_between_blocks_of_multidegree_two(self):
+        # The shortest words whose bridge a merge threshold one below the
+        # least cut found would contract away.
+        for text in ("abacdbefe", "abcdeafgf"):
+            g = build_graph(parse_word(text))
+            assert edge_connectivity(g) == cut_oracle(g) == 1
 
 
 def multiplicity(c):

@@ -5,6 +5,9 @@ decomposition and its minimum cut from Stoer-Wagner.  Both libraries are
 test-only and optional; without them this module is skipped.
 """
 
+import itertools
+import random
+
 import pytest
 
 nx = pytest.importorskip("networkx")
@@ -18,7 +21,8 @@ from wordgraphs.connectivity import (  # noqa: E402
     scc_decomposition,
     weakly_connected,
 )
-from wordgraphs.graphs import Digraph  # noqa: E402
+from wordgraphs.graphs import Digraph, build_graph  # noqa: E402
+from wordgraphs.words import Word  # noqa: E402
 
 MAX_VERTICES = 30
 
@@ -46,6 +50,27 @@ def walk_digraphs(draw):
 
 
 digraphs = st.one_of(random_digraphs(), walk_digraphs())
+
+
+def canonical_word(letters):
+    ids = {}
+    return Word(tuple(ids.setdefault(c, len(ids)) for c in letters))
+
+
+@st.composite
+def word_graphs(draw):
+    """Graphs of words of up to about 300 letters over up to 40 symbols.
+
+    Adjacent symbols differ by at most a drawn reach (mod the symbol count),
+    so small reaches give the sparse, long graphs of low edge connectivity
+    where contraction needs many phases; `digraphs` rarely yields them.
+    """
+    n = draw(st.integers(2, 40))
+    reach = draw(st.integers(1, n))
+    size = draw(st.integers(1, 300))
+    steps = draw(st.lists(st.integers(-reach, reach), min_size=size, max_size=size))
+    letters = itertools.accumulate(steps, lambda c, step: (c + step) % n, initial=0)
+    return build_graph(canonical_word(letters))
 
 
 def multigraph(g):
@@ -82,7 +107,7 @@ def expected_cut(g):
         return None
     if not nx.is_connected(w):
         return 0
-    return nx.stoer_wagner(w)[0]
+    return nx.stoer_wagner(w, heap=nx.utils.heaps.PairingHeap)[0]
 
 
 def string_labels(g):
@@ -96,6 +121,21 @@ def string_labels(g):
 @settings(max_examples=200, deadline=None)
 @given(digraphs)
 def test_edge_connectivity_matches_stoer_wagner(g):
+    assert edge_connectivity(g) == expected_cut(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_graphs())
+def test_edge_connectivity_matches_stoer_wagner_on_word_graphs(g):
+    assert edge_connectivity(g) == expected_cut(g)
+
+
+def test_edge_connectivity_of_a_long_random_word():
+    # 7,000 letters over 400 symbols: 6,836 edges and lambda well above 2,
+    # so contraction runs on large summed weights.
+    rng = random.Random(5)
+    g = build_graph(canonical_word(rng.randrange(400) for _ in range(7000)))
+    assert len(g.vertices) == 400
     assert edge_connectivity(g) == expected_cut(g)
 
 

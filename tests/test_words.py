@@ -36,6 +36,9 @@ class TestParse:
         assert w.letters == (0, 1, 2, 0)
         assert w.length == 4
         assert w.alphabet_size == 3
+        # The stored alphabet size is not a field: only the letters compare.
+        assert w == Word((0, 1, 2, 0)) and hash(w) == hash(Word((0, 1, 2, 0)))
+        assert repr(w) == "Word(letters=(0, 1, 2, 0))"
 
     def test_trivial_word(self):
         assert parse_word("aa").letters == (0, 0)
