@@ -13,10 +13,8 @@ from .connectivity import (
 from .counting import (
     CapExceededError,
     CountTable,
-    bell,
     brute_force_strong_count,
     csv_lines,
-    family_cardinality,
     scc_histogram,
     stirling2,
     strong_partition_count,
@@ -39,7 +37,6 @@ from .represent import (
     NotRepresentableError,
     NotStronglyConnectedError,
     covering_walk,
-    is_representable,
     representational_walk,
     synthesize_word,
 )
@@ -66,10 +63,8 @@ __all__ = [
     "weakly_connected",
     "CapExceededError",
     "CountTable",
-    "bell",
     "brute_force_strong_count",
     "csv_lines",
-    "family_cardinality",
     "scc_histogram",
     "stirling2",
     "strong_partition_count",
@@ -86,7 +81,6 @@ __all__ = [
     "NotRepresentableError",
     "NotStronglyConnectedError",
     "covering_walk",
-    "is_representable",
     "representational_walk",
     "synthesize_word",
     "VerificationReport",

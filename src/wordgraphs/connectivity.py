@@ -10,8 +10,8 @@ of weak components, and word graphs are strongly connected precisely when
 they have none.
 
 `bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
-is a separate derivation by maximum-adjacency contraction and never consults
-`bridges`, so each can check the other.
+is a separate derivation by contraction and never consults `bridges`, so
+each can check the other.
 """
 
 from __future__ import annotations
@@ -157,11 +157,13 @@ def bridges(graph: Digraph) -> list[tuple]:
 def edge_connectivity(graph: Digraph) -> int | None:
     """Minimum deletions disconnecting the underlying multigraph; None for one vertex.
 
-    Zero for a weakly disconnected graph.  Otherwise maximum-adjacency
-    contraction (Nagamochi & Ibaraki 1992): `best`, the least cut found so
-    far, starts at the minimum multidegree, and each phase merges at least one
-    pair that no cut below `best` separates, until one vertex is left or
-    `best` is 1.  So the cost is O(phases * E log V) with phases <= V - 1.
+    Zero for a weakly disconnected graph.  Otherwise `best`, the least cut
+    found so far, starts at the minimum multidegree and stays at most every
+    degree.  First pairs that pass the Padberg–Rinaldi test are merged, which
+    collapses every cycle; then maximum-adjacency contraction (Nagamochi &
+    Ibaraki 1992) merges, in each phase, at least one pair that no cut below
+    `best` separates, until one vertex is left or `best` is 1.  So the cost
+    is O(phases * E log V) with phases <= V - 1.
     """
     _require_vertices(graph)
     if len(graph.vertices) == 1:
@@ -169,9 +171,35 @@ def edge_connectivity(graph: Digraph) -> int | None:
     adj = _multigraph(graph)
     if not _connected(adj):
         return 0
-    best = min(sum(row.values()) for row in adj.values())
+    best = _contract_tight_pairs(adj)
     while best > 1 and len(adj) > 1:
         best = _contraction_phase(adj, best)
+    return best
+
+
+def _contract_tight_pairs(adj: dict) -> int:
+    """Merge in place pairs u, v of the connected `adj` with 2c(u, v) >=
+    min(d(u), d(v)); return the least degree seen while two vertices remain.
+
+    The Padberg–Rinaldi test (Padberg & Rinaldi 1990): moving u across a
+    cut that holds u but not v, and is not {u} itself, loses c(u, v) and
+    gains at most d(u) - c(u, v), so a minimum cut survives the merge or is
+    a degree, which the returned value counts.  A pair passes from u's side
+    only if u's heaviest pair does, so each vertex tests that one, and again
+    while it survives its merges; the vertex with fewer neighbours is the
+    one merged away.
+    """
+    degree = {v: sum(row.values()) for v, row in adj.items()}
+    best = min(degree.values())
+    # Unmerged pairs have multiplicity 1 or 2, so only degrees <= 4 pass.
+    for u in [u for u, d in degree.items() if d <= 4]:
+        while best > 1 and (row := adj.get(u)) and 2 * max(row.values()) >= degree[u]:
+            v = max(row, key=row.get)
+            keep, lose = (u, v) if len(row) >= len(adj[v]) else (v, u)
+            degree[keep] += degree.pop(lose) - 2 * row[v]
+            _absorb(adj, lose, keep)
+            # Zero only for the lone vertex left, which is no cut.
+            best = min(best, degree[keep] or best)
     return best
 
 
@@ -213,12 +241,17 @@ def _contraction_phase(adj: dict, best: int) -> int:
                     return 1
     merged = {v: _find(parent, v) for v in adj if parent[v] != v}
     for v, r in merged.items():
-        for x, c in adj.pop(v).items():
-            del adj[x][v]
-            if x != r:
-                adj[r][x] = adj[x][r] = adj[r].get(x, 0) + c
+        _absorb(adj, v, r)
     # A merged vertex's degree is a cut unless it is the lone vertex left.
     return min(best, min(sum(adj[r].values()) for r in merged.values()) or best)
+
+
+def _absorb(adj: dict, v, r) -> None:
+    """Merge vertex v into r in place, summing parallel weights."""
+    for x, c in adj.pop(v).items():
+        del adj[x][v]
+        if x != r:
+            adj[r][x] = adj[x][r] = adj[r].get(x, 0) + c
 
 
 def _find(parent: dict, v):

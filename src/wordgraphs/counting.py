@@ -161,10 +161,6 @@ class CountTable:
             raise ValueError("need 1 <= alphabet_size <= length")
         return math.factorial(alphabet_size) * self.stirling2(length, alphabet_size)
 
-    def bell(self, length: int) -> int:
-        """Set partitions of `length` elements: the canonical words of that length."""
-        return sum(self.stirling2(length, n) for n in range(length + 1))
-
     def seed_strong_count(self, length: int, alphabet_size: int, value: int) -> None:
         """Overwrite one strong-count cell (fault-injection test hook).  The
         seed outlives later refills; base cases cannot be seeded."""
@@ -194,16 +190,16 @@ class CountTable:
 _SHARED = CountTable()
 # The module's counting functions read one table shared by the process.
 stirling2 = _SHARED.stirling2
-bell = _SHARED.bell
 strong_partition_count = _SHARED.strong_partition_count
 strong_word_count = _SHARED.strong_word_count
-family_cardinality = _SHARED.family_cardinality
 
 
 def _check_cap(length: int, cap: int | None) -> None:
-    """Bell numbers never decrease, so stop at the first one past the cap
-    rather than computing Bell(length) itself, which costs O(length^2)."""
-    if cap is not None and any(_SHARED.bell(m) > cap for m in range(length + 1)):
+    """Bell numbers, the Stirling row sums, never decrease, so stop at the
+    first one past the cap rather than computing Bell(length), O(length^2)."""
+    if cap is not None and any(
+        sum(stirling2(m, n) for n in range(m + 1)) > cap for m in range(length + 1)
+    ):
         raise CapExceededError(f"enumerating length {length} means more words than the cap {cap}")
 
 

@@ -33,11 +33,6 @@ def _path_condensation(cond: Condensation) -> bool:
     )
 
 
-def is_representable(graph: Digraph) -> bool:
-    """True when some walk covers every edge of the graph."""
-    return _path_condensation(condensation(graph))
-
-
 def covering_walk(graph: Digraph, start, end) -> list:
     """A walk from start to end traversing every edge of a strongly connected graph.
 

@@ -23,11 +23,12 @@ from .factorization import split_points
 from .graphs import Digraph, build_graph
 from .words import iter_canonical_words
 
-# Up to this length each distinct word graph's exact minimum cut is also
-# computed, by contraction independent of `bridges`, and "cut >= 2" is checked
-# against strong connectivity and each word's factor count.  Longer words
-# take "cut >= 2" from the bridge predicate alone (weakly connected and
-# bridge-free); the report labels that mode `cut=deletion`.
+# Exact minimum cuts stop at this length; longer words take "cut >= 2" from
+# the bridge predicate (`cut=deletion` in the report).  The cut of every
+# distinct graph at every length costs about 1 s more on `verify
+# --max-length 10` (4.7-5.7 s against 3.8-4.6 s in three interleaved pairs
+# of fresh interpreters on 2 vCPUs), and nothing measurable at length 8
+# (0.33 s against 0.32 s).
 FULL_CUT_LENGTH = 7
 
 

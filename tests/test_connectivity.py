@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import wordgraphs.connectivity
 from wordgraphs.connectivity import (
     EmptyGraphError,
     bridges,
@@ -13,6 +14,8 @@ from wordgraphs.connectivity import (
 )
 from wordgraphs.graphs import Digraph, build_graph
 from wordgraphs.words import Word, iter_canonical_words, parse_word
+
+from brute import all_digraphs
 
 
 # ---- oracles: small and dumb on purpose ----
@@ -80,14 +83,6 @@ def cut_oracle(g):
     return len(edges)
 
 
-def all_digraphs(vertex_count):
-    vertices = frozenset(range(vertex_count))
-    pairs = [(u, v) for u in vertices for v in vertices if u != v]
-    for bits in range(1 << len(pairs)):
-        edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-        yield Digraph(vertices, edges)
-
-
 def bidirected_clique(vertices):
     return {(u, v) for u in vertices for v in vertices if u != v}
 
@@ -146,7 +141,7 @@ class TestPredicates:
     def test_strong_matches_oracle(self):
         for g in word_graphs(6):
             assert strongly_connected(g) == strong_oracle(g)
-        for g in all_digraphs(3):
+        for g in all_digraphs(3, Digraph):
             assert strongly_connected(g) == strong_oracle(g)
 
     def test_word_graphs_weakly_connected(self):
@@ -190,7 +185,7 @@ class TestBridges:
 
     def test_matches_deletion_oracle_on_digraphs(self):
         for count in range(1, 5):
-            for g in all_digraphs(count):
+            for g in all_digraphs(count, Digraph):
                 assert bridges(g) == bridge_oracle(g), sorted(g.edges)
 
 
@@ -217,7 +212,7 @@ class TestEdgeConnectivity:
     def test_matches_deletion_oracle_on_digraphs(self):
         # Four vertices reach the disconnected graphs with no isolated vertex.
         for count in range(1, 5):
-            for g in all_digraphs(count):
+            for g in all_digraphs(count, Digraph):
                 assert edge_connectivity(g) == cut_oracle(g), sorted(g.edges)
 
     def test_does_not_consult_bridges(self, monkeypatch):
@@ -249,10 +244,21 @@ class TestEdgeConnectivity:
         g = Digraph(range(10), halves | {(0, 5), (1, 6), (7, 2)})
         assert edge_connectivity(g) == 3
 
-    def test_cycle_word_contracts_once_per_phase(self):
-        # Each maximum-adjacency order of a cycle is a path, so each phase
-        # merges only its last vertex: the worst case, 2,000 phases.
-        g = build_graph(Word(tuple(range(2000)) + (0,)))
+    def test_cycle_word_collapses_before_the_phases(self, monkeypatch):
+        # Each maximum-adjacency order of a cycle is a path, so a phase
+        # merges only its last vertex, 20,000 phases in all.  Every pair of
+        # a cycle passes the Padberg–Rinaldi test instead.
+        real = wordgraphs.connectivity._contraction_phase
+        calls = []
+
+        def at_most_one(adj, best):
+            # Fails at once rather than after a quadratic run.
+            calls.append(len(adj))
+            assert len(calls) == 1, f"phase {len(calls)} on {len(adj)} vertices"
+            return real(adj, best)
+
+        monkeypatch.setattr("wordgraphs.connectivity._contraction_phase", at_most_one)
+        g = build_graph(Word(tuple(range(20_000)) + (0,)))
         assert edge_connectivity(g) == 2
 
     def test_chain_word(self):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from wordgraphs.graphs import (
@@ -13,12 +11,7 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.words import Word, iter_canonical_words, parse_word
 
-
-def all_words(length, max_alphabet):
-    for letters in itertools.product(range(max_alphabet), repeat=length):
-        ids = set(letters)
-        if ids == set(range(len(ids))):
-            yield Word(letters)
+from brute import all_words
 
 
 class TestBuildGraph:
@@ -36,11 +29,11 @@ class TestBuildGraph:
         assert g.edges == frozenset({(0, 1), (1, 0)})
 
     def test_edge_count_bound(self):
-        for w in all_words(6, 4):
+        for w in all_words(6, 4, Word):
             assert len(build_graph(w).edges) <= w.length - 1
 
     def test_canonicalization_relabels_graph(self):
-        for w in all_words(5, 4):
+        for w in all_words(5, 4, Word):
             mapping = {}
             for c in w.letters:
                 mapping.setdefault(c, len(mapping))

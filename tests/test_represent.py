@@ -7,11 +7,12 @@ from wordgraphs.represent import (
     NotRepresentableError,
     NotStronglyConnectedError,
     covering_walk,
-    is_representable,
     representational_walk,
     synthesize_word,
 )
 from wordgraphs.words import Word, iter_canonical_words, parse_word
+
+from brute import all_digraphs, covering_walk_exists
 
 
 class CountingEdges(frozenset):
@@ -32,43 +33,12 @@ def chain_graph(components):
     return build_graph(Word(tuple(letters)))
 
 
-def covering_walk_exists(g):
-    """Oracle: breadth-first search over (position, covered-edge-set) states.
-
-    The walk must realize the whole graph: covering every edge is not
-    enough when a vertex lies on no edge at all, because a walk can never
-    visit it and the resulting word would miss it from its alphabet.
-    """
-    edges = sorted(g.edges)
-    if not edges:
-        return len(g.vertices) == 1
-    if {v for e in edges for v in e} != set(g.vertices):
+def representable(g):
+    try:
+        representational_walk(g)
+    except NotRepresentableError:
         return False
-    index = {e: i for i, e in enumerate(edges)}
-    full = (1 << len(edges)) - 1
-    seen = {(v, 0) for v in g.vertices}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v, mask in frontier:
-            if mask == full:
-                return True
-            for a, b in edges:
-                if a == v:
-                    state = (b, mask | 1 << index[(a, b)])
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
-        frontier = nxt
-    return any(mask == full for _, mask in seen)
-
-
-def all_digraphs(vertex_count):
-    vertices = frozenset(range(vertex_count))
-    pairs = [(u, v) for u in vertices for v in vertices if u != v]
-    for bits in range(1 << len(pairs)):
-        edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
-        yield Digraph(vertices, edges)
+    return True
 
 
 def walk_edges(walk):
@@ -77,25 +47,25 @@ def walk_edges(walk):
 
 class TestIsRepresentable:
     def test_path(self):
-        assert is_representable(build_graph(parse_word("abc")))
+        assert representable(build_graph(parse_word("abc")))
 
     def test_fork_with_shortcut_is_not(self):
         g = Digraph({"a", "b", "c"}, {("a", "b"), ("a", "c"), ("c", "b")})
-        assert not is_representable(g)
+        assert not representable(g)
 
     def test_strongly_connected_always_is(self):
-        assert is_representable(build_graph(parse_word("abca")))
-        assert is_representable(build_graph(parse_word("aba")))
+        assert representable(build_graph(parse_word("abca")))
+        assert representable(build_graph(parse_word("aba")))
 
     def test_matches_walk_oracle(self):
         for count in range(1, 4):
-            for g in all_digraphs(count):
-                assert is_representable(g) == covering_walk_exists(g), sorted(g.edges)
+            for g in all_digraphs(count, Digraph):
+                assert representable(g) == covering_walk_exists(g), sorted(g.edges)
 
     def test_representable_implies_weakly_connected(self):
         for count in range(1, 4):
-            for g in all_digraphs(count):
-                if is_representable(g):
+            for g in all_digraphs(count, Digraph):
+                if representable(g):
                     assert weakly_connected(g)
 
 
@@ -145,8 +115,8 @@ class TestSynthesis:
 
     def test_walk_realizes_exactly_the_edges(self):
         for count in range(1, 4):
-            for g in all_digraphs(count):
-                if not is_representable(g):
+            for g in all_digraphs(count, Digraph):
+                if not representable(g):
                     continue
                 walk = representational_walk(g)
                 assert walk_edges(walk) == g.edges
@@ -192,5 +162,5 @@ class TestSynthesis:
             for n in range(1, length + 1):
                 for w in iter_canonical_words(length, n):
                     g = build_graph(w)
-                    assert is_representable(g)
+                    assert representable(g)
                     assert build_graph(synthesize_word(g)) == g
