@@ -4,13 +4,15 @@ Predicate-style commands answer through their exit status so the tool
 composes in shell pipelines: 0 for success or a true predicate, 1 for a
 false predicate, 2 for usage or input errors, 3 for a verification
 mismatch.  All output is machine-parseable; nothing is written to stderr
-on success.
+on success.  A reader that closes standard output early ends the command
+with 141, the status a shell reports for a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .connectivity import bridges, edge_connectivity, scc_decomposition
@@ -221,7 +223,16 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None and args.command in ("count", "table", "histogram", "verify"):
         sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader stopped reading, which is no input error.  Point fd 1 at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -234,49 +234,35 @@ def _check_table_cap(
 def _strong_counts_by_alphabet(length: int) -> list[int]:
     """One exhaustive pass over all canonical words of `length`.
 
-    Walks the restricted-growth-string tree keeping adjacency bitmasks
+    Walks the restricted-growth-string tree keeping successor bitmasks
     updated in place, and tallies strongly connected leaves per alphabet
-    size.  Strong connectivity is decided by bitset reachability from
-    symbol 0 in both edge directions.
+    size.  A word is a walk through its own graph, so every symbol is
+    reached from the first letter and reaches the last one.  Hence the graph
+    is strong exactly when the last letter reaches the first, symbol 0: one
+    bitset reachability per leaf decides it.
     """
     counts = [0] * (length + 1)
     adj = [0] * length
-    radj = [0] * length
-
-    def leaf_is_strong(n: int) -> bool:
-        full = (1 << n) - 1
-        for rows in (adj, radj):
-            reach = 1
-            frontier = 1
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    nxt |= rows[low.bit_length() - 1]
-                    f ^= low
-                frontier = nxt & ~reach
-                reach |= frontier
-            if reach != full:
-                return False
-        return True
 
     def rec(pos: int, prev: int, used: int) -> None:
         if pos == length:
-            if leaf_is_strong(used):
-                counts[used] += 1
+            reach = frontier = 1 << prev
+            while frontier and not reach & 1:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & ~reach
+                reach |= frontier
+            counts[used] += reach & 1
             return
         for c in range(used + 1):
-            if c == prev:
-                rec(pos + 1, c, used + (c == used))
-            else:
-                a0 = adj[prev]
-                r0 = radj[c]
-                adj[prev] = a0 | (1 << c)
-                radj[c] = r0 | (1 << prev)
-                rec(pos + 1, c, used + (c == used))
-                adj[prev] = a0
-                radj[c] = r0
+            # A repeated letter sets a self-loop bit, which reaches nothing new.
+            a0 = adj[prev]
+            adj[prev] = a0 | (1 << c)
+            rec(pos + 1, c, used + (c == used))
+            adj[prev] = a0
 
     rec(1, 0, 1)
     return counts

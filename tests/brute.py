@@ -1,8 +1,8 @@
 """Brute-force enumerations and oracles shared by the tests.
 
 Nothing here imports wordgraphs: the enumerations build their items with
-the constructor they are given, and the oracle reads only a graph's
-`vertices` and `edges`.
+the constructor they are given, and the oracles read plain letters, edge
+pairs, or only a graph's `vertices` and `edges`.
 """
 
 import itertools
@@ -23,6 +23,40 @@ def all_words(length, max_alphabet, make):
         ids = set(letters)
         if ids == set(range(len(ids))):
             yield make(letters)
+
+
+def canonical_letters(letters):
+    """The letters renumbered by first occurrence, as a tuple."""
+    ids = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in letters)
+
+
+def walk_edges(letters):
+    """The edges a letter sequence walks: its distinct adjacent pairs of
+    different letters."""
+    return {(a, b) for a, b in zip(letters, letters[1:]) if a != b}
+
+
+def reachable(edges, start):
+    """Every vertex reachable from `start` along the directed `edges`."""
+    successors = {}
+    for a, b in edges:
+        successors.setdefault(a, []).append(b)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for b in successors.get(frontier.pop(), []):
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def undirected_connected(vertices, edges):
+    """Whether the `edges`, each read in both directions, connect all of
+    `vertices`."""
+    both = [*edges, *((b, a) for a, b in edges)]
+    return reachable(both, min(vertices)) == set(vertices)
 
 
 def covering_walk_exists(g):

@@ -29,7 +29,7 @@ from wordgraphs.graphs import Digraph, build_graph
 from wordgraphs.represent import NotRepresentableError, representational_walk, synthesize_word
 from wordgraphs.words import iter_canonical_words
 
-from brute import all_digraphs, covering_walk_exists
+from brute import all_digraphs, covering_walk_exists, walk_edges
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def test_criterion_2_pinned_values():
                 and strongly_connected(
                     Digraph(
                         frozenset(range(n)),
-                        frozenset((a, b) for a, b in zip(seq, seq[1:]) if a != b),
+                        frozenset(walk_edges(seq)),
                     )
                 )
             )

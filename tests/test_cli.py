@@ -427,6 +427,22 @@ class TestHarnessContract:
             assert code == 0
             assert err == ""
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # The read end closes before the child starts, so even output that
+        # would fit in the pipe's buffer meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            for argv in (["verify", "--max-length", "9"], ["check", "abcb"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "wordgraphs", *argv],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                )
+                assert (proc.returncode, proc.stderr) == (141, b""), argv
+        finally:
+            os.close(write_end)
+
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
         # String labels iterate in hash order, so every order that reaches
         # stdout must come from sorting.  Three strong components joined by

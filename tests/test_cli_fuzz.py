@@ -31,6 +31,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wordgraphs.cli import main  # noqa: E402
 
+from brute import walk_edges  # noqa: E402
+
 FUZZ = settings(max_examples=60, deadline=None)
 
 keys = st.sampled_from(["vertices", "edges", "x"]) | st.text(max_size=3)
@@ -54,7 +56,7 @@ def graph_documents(draw):
     )
     n = len(labels)
     walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
-    pairs = set(zip(walk, walk[1:]))
+    pairs = walk_edges(walk)
     pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
     edges = [[labels[a], labels[b]] for a, b in sorted(pairs) if a != b]
     return {"vertices": labels, "edges": edges}

@@ -15,39 +15,13 @@ from wordgraphs.connectivity import (
 from wordgraphs.graphs import Digraph, build_graph
 from wordgraphs.words import Word, iter_canonical_words, parse_word
 
-from brute import all_digraphs
+from brute import all_digraphs, reachable, undirected_connected
 
 
 # ---- oracles: small and dumb on purpose ----
 
-def reachable(vertices, edges, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for a, b in edges:
-            if a == u and b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return seen
-
-
 def strong_oracle(g):
-    return all(reachable(g.vertices, g.edges, v) == g.vertices for v in g.vertices)
-
-
-def undirected_connected(vertices, undirected_edges):
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for a, b in undirected_edges:
-            for x, y in ((a, b), (b, a)):
-                if x == u and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return seen == set(vertices)
+    return all(reachable(g.edges, v) == g.vertices for v in g.vertices)
 
 
 def weak_component_count(vertices, edges):
@@ -56,7 +30,7 @@ def weak_component_count(vertices, edges):
     for v in vertices:
         if v not in seen:
             count += 1
-            seen |= reachable(vertices, list(edges) + [(b, a) for a, b in edges], v)
+            seen |= reachable(list(edges) + [(b, a) for a, b in edges], v)
     return count
 
 

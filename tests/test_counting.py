@@ -155,7 +155,7 @@ class TestBruteForce:
             assert brute_force_strong_count(n, n) == 0
 
     def test_matches_plain_iteration(self):
-        for length in range(1, 8):
+        for length in range(1, 9):
             for n in range(1, length + 1):
                 assert brute_force_strong_count(length, n) == count_strong_by_iteration(
                     length, n

@@ -24,6 +24,8 @@ from wordgraphs.connectivity import (  # noqa: E402
 from wordgraphs.graphs import Digraph, build_graph  # noqa: E402
 from wordgraphs.words import Word  # noqa: E402
 
+from brute import canonical_letters, walk_edges  # noqa: E402
+
 MAX_VERTICES = 30
 
 
@@ -45,16 +47,10 @@ def walk_digraphs(draw):
     """The graph of a random symbol sequence: weakly connected, like a word graph."""
     n = draw(st.integers(1, MAX_VERTICES))
     walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4 * n))
-    edges = {(a, b) for a, b in zip(walk, walk[1:]) if a != b}
-    return Digraph(frozenset(walk), frozenset(edges))
+    return Digraph(frozenset(walk), frozenset(walk_edges(walk)))
 
 
 digraphs = st.one_of(random_digraphs(), walk_digraphs())
-
-
-def canonical_word(letters):
-    ids = {}
-    return Word(tuple(ids.setdefault(c, len(ids)) for c in letters))
 
 
 @st.composite
@@ -70,7 +66,17 @@ def word_graphs(draw):
     size = draw(st.integers(1, 300))
     steps = draw(st.lists(st.integers(-reach, reach), min_size=size, max_size=size))
     letters = itertools.accumulate(steps, lambda c, step: (c + step) % n, initial=0)
-    return build_graph(canonical_word(letters))
+    return build_graph(Word(canonical_letters(letters)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+def test_a_walk_is_strong_exactly_when_its_end_reaches_its_start(walk):
+    # The brute-force counter's leaf test: the start reaches every vertex of
+    # a walk and every vertex reaches its end.
+    g = nx.DiGraph()
+    nx.add_path(g, walk)
+    assert nx.has_path(g, walk[-1], walk[0]) == nx.is_strongly_connected(g)
 
 
 def multigraph(g):
@@ -134,7 +140,7 @@ def test_edge_connectivity_of_a_long_random_word():
     # 7,000 letters over 400 symbols: 6,836 edges and lambda well above 2,
     # so contraction runs on large summed weights.
     rng = random.Random(5)
-    g = build_graph(canonical_word(rng.randrange(400) for _ in range(7000)))
+    g = build_graph(Word(canonical_letters(rng.randrange(400) for _ in range(7000))))
     assert len(g.vertices) == 400
     assert edge_connectivity(g) == expected_cut(g)
 

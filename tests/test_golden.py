@@ -19,6 +19,8 @@ from wordgraphs.graphs import Digraph, build_graph, letter_labeled, to_json
 from wordgraphs.represent import synthesize_word
 from wordgraphs.words import Word, parse_word
 
+from brute import walk_edges
+
 
 def lcg_strong_graph(symbols, letters, seed):
     """Graph of a closed walk that visits every symbol, drawn with a 64-bit LCG.
@@ -38,8 +40,7 @@ def lcg_strong_graph(symbols, letters, seed):
         rest[i], rest[j] = rest[j], rest[i]
     rest += [1 + draw(symbols - 1) for _ in range(letters - symbols - 1)]
     walk = [0, *rest, 0]
-    edges = {(a, b) for a, b in zip(walk, walk[1:]) if a != b}
-    return Digraph(frozenset(range(symbols)), frozenset(edges))
+    return Digraph(frozenset(range(symbols)), frozenset(walk_edges(walk)))
 
 
 def chain_graph(components):

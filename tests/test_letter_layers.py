@@ -22,6 +22,8 @@ from wordgraphs.graphs import build_graph  # noqa: E402
 from wordgraphs.represent import synthesize_word  # noqa: E402
 from wordgraphs.words import Word, letters_text, parse_word  # noqa: E402
 
+from brute import canonical_letters, reachable, undirected_connected, walk_edges  # noqa: E402
+
 MAX_LENGTH = 2_000
 
 
@@ -74,28 +76,10 @@ def split_oracle(letters):
     return [j for j in range(1, len(letters)) if prefix[j - 1] + suffix[j] == whole]
 
 
-def edge_oracle(letters):
-    edges = set()
-    for i in range(len(letters) - 1):
-        if letters[i] != letters[i + 1]:
-            edges.add((letters[i], letters[i + 1]))
-    return edges
-
-
 def text_oracle(letters, alphabet_size):
     if alphabet_size <= 26:
         return "".join(chr(ord("a") + c) for c in letters)
     return ",".join(str(c) for c in letters)
-
-
-def canonical_oracle(letters):
-    ids = {}
-    out = []
-    for c in letters:
-        if c not in ids:
-            ids[c] = len(ids)
-        out.append(ids[c])
-    return tuple(out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,7 +93,7 @@ def test_split_points_close_off_disjoint_alphabets(word):
 def test_build_graph_has_one_edge_per_distinct_adjacent_pair(word):
     graph = build_graph(word)
     assert graph.vertices == frozenset(word.letters)
-    assert graph.edges == edge_oracle(word.letters)
+    assert graph.edges == walk_edges(word.letters)
 
 
 @pytest.mark.parametrize("alphabet_size", [1, 25, 26, 27, 28, 300])
@@ -120,35 +104,16 @@ def test_text_round_trips_on_both_sides_of_26_symbols(alphabet_size):
     letters = tuple(ids + [rng.randrange(alphabet_size) for _ in range(500)])
     text = letters_text(letters, alphabet_size)
     assert text == text_oracle(letters, alphabet_size)
-    assert parse_word(text).letters == canonical_oracle(letters)
+    assert parse_word(text).letters == canonical_letters(letters)
     if alphabet_size > 26:
         # Decimal ids: leading zeros name the same symbol.
         padded = ",".join("0" * rng.randrange(3) + str(c) for c in letters)
-        assert parse_word(padded).letters == canonical_oracle(letters)
+        assert parse_word(padded).letters == canonical_letters(letters)
 
 
 def test_leading_zero_tokens_name_one_symbol():
     assert parse_word("01,1,002").letters == (0, 0, 1)
     assert parse_word("002,01,1,2,0,000").letters == (0, 1, 1, 0, 2, 2)
-
-
-def reaches(edges, start):
-    successors = {}
-    for a, b in edges:
-        successors.setdefault(a, []).append(b)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for b in successors.get(frontier.pop(), []):
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return seen
-
-
-def undirected_connected(vertices, edges):
-    both = [(a, b) for a, b in edges] + [(b, a) for a, b in edges]
-    return reaches(both, min(vertices)) == set(vertices)
 
 
 @pytest.mark.parametrize("symbols_per_part", [5, 12])
@@ -170,8 +135,8 @@ def test_check_on_a_300k_letter_word(monkeypatch, capsys, symbols_per_part):
     fields = dict(line.split("=", 1) for line in out.splitlines())
 
     vertices = set(letters)
-    edges = edge_oracle(letters)
-    reach = {u: reaches(edges, u) for u in vertices}
+    edges = walk_edges(letters)
+    reach = {u: reachable(edges, u) for u in vertices}
     components = {frozenset(v for v in reach[u] if u in reach[v]) for u in vertices}
     cuts = split_oracle(letters)
     bounds = [0, *cuts, len(letters)]

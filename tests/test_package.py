@@ -1,10 +1,13 @@
-"""The package's public surface: `__all__` and the names bound beside it.
+"""The package's public surface: `__all__` and the names bound beside it,
+and the oldest Python that pyproject.toml admits.
 
 A name dropped from a module but left in `__all__` breaks
 `from wordgraphs import *`; a name imported into the package but left out
 of `__all__` is public surface nobody declared.  Both fail here.
 """
 
+import ast
+import pathlib
 import types
 
 import wordgraphs
@@ -26,3 +29,12 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(wordgraphs.__all__)
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml says requires-python = ">=3.10"; newer syntax fails here
+    # even when the suite runs on a later interpreter.
+    sources = sorted(pathlib.Path(wordgraphs.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

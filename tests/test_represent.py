@@ -12,7 +12,7 @@ from wordgraphs.represent import (
 )
 from wordgraphs.words import Word, iter_canonical_words, parse_word
 
-from brute import all_digraphs, covering_walk_exists
+from brute import all_digraphs, covering_walk_exists, walk_edges
 
 
 class CountingEdges(frozenset):
@@ -39,10 +39,6 @@ def representable(g):
     except NotRepresentableError:
         return False
     return True
-
-
-def walk_edges(walk):
-    return {(a, b) for a, b in zip(walk, walk[1:]) if a != b}
 
 
 class TestIsRepresentable:
