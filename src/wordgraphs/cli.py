@@ -223,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None and args.command in ("count", "table", "histogram", "verify"):
         sys.set_int_max_str_digits(0)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise ValueError(f"cap must be at least 0, got {args.cap}")
         status = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return status

@@ -131,7 +131,7 @@ def from_json(text: str) -> Digraph:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
         raise InvalidGraphError('expected an object with "vertices" and "edges"')

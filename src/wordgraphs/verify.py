@@ -7,8 +7,9 @@ connectivity and with unfactorizability, the bridge count against the
 factorization cardinality, component counts, family cardinalities, and
 histogram totals.  Checks stop at the first counterexample.  The cap is
 decided once, before any work: a run checks every length it is asked for,
-or raises `CapExceededError`.  The graph layers run once per distinct word
-graph; the word-side derivations and the comparisons run for every word.
+or raises `CapExceededError`.  Each distinct word graph is built and
+analysed once, with its exact minimum cut; the word-side derivations and the
+comparisons run for every word.
 """
 
 from __future__ import annotations
@@ -17,19 +18,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .connectivity import bridges, edge_connectivity, scc_decomposition, weakly_connected
+from .connectivity import bridges, edge_connectivity, scc_decomposition
 from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
 from .factorization import split_points
 from .graphs import Digraph, build_graph
 from .words import iter_canonical_words
-
-# Exact minimum cuts stop at this length; longer words take "cut >= 2" from
-# the bridge predicate (`cut=deletion` in the report).  The cut of every
-# distinct graph at every length costs about 1 s more on `verify
-# --max-length 10` (4.7-5.7 s against 3.8-4.6 s in three interleaved pairs
-# of fresh interpreters on 2 vCPUs), and nothing measurable at length 8
-# (0.33 s against 0.32 s).
-FULL_CUT_LENGTH = 7
 
 
 @dataclass
@@ -107,27 +100,23 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         yield text, OK if expected == actual else FAIL
 
 
-def _graph_facts(graph: Digraph, exact_cut: bool) -> tuple[int, int, bool, bool]:
+def _graph_facts(graph: Digraph) -> tuple[int, int, bool, bool]:
     """(components, bridges, weakly connected, 2-edge-connected) from the
-    graph layers alone; the minimum cut by contraction when `exact_cut`."""
-    components = scc_decomposition(graph).count
-    bridge_count = len(bridges(graph))
-    weak = weakly_connected(graph)
-    two_edge_connected = not bridge_count
-    if exact_cut and len(graph.vertices) >= 2:
-        two_edge_connected = edge_connectivity(graph) >= 2
-    return components, bridge_count, weak, two_edge_connected
+    graph layers alone.  Both connectivity facts read the minimum cut by
+    contraction: 0 exactly when the graph is weakly disconnected, None for
+    one vertex."""
+    cut = edge_connectivity(graph)
+    return scc_decomposition(graph).count, len(bridges(graph)), cut != 0, cut is None or cut >= 2
 
 
 def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
     """Per-word structural checks plus histogram totals for one length.
 
-    Many words share a graph, so the graph layers run once per distinct edge
-    set; every word is still built, factored and checked against its graph's
-    facts, and a failure names the first word that shows it.
+    Many words share a graph, so each distinct edge set is built and analysed
+    once; every word is still keyed by its own edges, factored and checked
+    against its graph's facts, and a failure names the first word that shows it.
     """
     label = f"check=equivalence l={length}"
-    exact_cut = length <= FULL_CUT_LENGTH
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         histogram: dict[int, int] = {}
@@ -136,10 +125,10 @@ def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
         facts: dict[int, tuple[int, int, bool, bool]] = {}
         for word in iter_canonical_words(length, n):
             words += 1
-            graph = build_graph(word)
-            key = sum(1 << (u * n + v) for u, v in graph.edges)
+            letters = word.letters
+            key = sum({1 << (u * n + v) for u, v in zip(letters, letters[1:]) if u != v})
             if key not in facts:
-                facts[key] = _graph_facts(graph, exact_cut)
+                facts[key] = _graph_facts(build_graph(word))
             # Two derivations: the graph's components, the word's factors.
             components, bridge_count, weak, two_edge_connected = facts[key]
             k = len(split_points(word)) + 1
@@ -163,7 +152,7 @@ def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
         if strong_bucket != expected:
             text = f"check=histogram l={length} n={n} strong={strong_bucket} scan={expected}"
             yield text, FAIL
-    yield f"{label} words={words} cut={'exact' if exact_cut else 'deletion'}", OK
+    yield f"{label} words={words} cut=exact", OK
     yield f"check=histogram l={length}", OK
 
 

@@ -389,6 +389,18 @@ class TestHarnessContract:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 
+    def test_negative_cap_is_usage_error_on_every_command(self, capsys):
+        for argv in (
+            ["count", "--length", "3", "--alphabet", "1"],
+            ["count", "--length", "6", "--alphabet", "3"],
+            ["histogram", "--length", "4", "--alphabet", "1"],
+            ["table", "--max-length", "3", "--max-alphabet", "3"],
+            ["verify", "--max-length", "3"],
+        ):
+            code, out, err = run(capsys, *argv, "--cap", "-1")
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         first = run(capsys, "check", "abcab")
         second = run(capsys, "check", "abcab")

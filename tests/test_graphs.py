@@ -143,6 +143,8 @@ class TestJson:
             '{"vertices":["a\\tb","c"],"edges":[["a\\tb","c"]]}',
             '{"vertices":["a\\u2028b","c"],"edges":[]}',
             pytest.param("[" * 200_000, id="nested-200000"),
+            # Past CPython's 4,300-digit limit json.loads raises a plain ValueError.
+            pytest.param('{"vertices":[' + "1" * 5000 + '],"edges":[]}', id="digits-5000"),
         ],
     )
     def test_malformed_documents(self, text):

@@ -19,7 +19,6 @@ def test_graph_layers_run_once_per_distinct_graph(monkeypatch):
     for name in (
         "bridges",
         "scc_decomposition",
-        "weakly_connected",
         "edge_connectivity",
         "build_graph",
         "split_points",
@@ -32,19 +31,35 @@ def test_graph_layers_run_once_per_distinct_graph(monkeypatch):
 
         monkeypatch.setattr(f"wordgraphs.verify.{name}", counting)
     assert run_verification(5).passed
-    # Distinct word graphs at lengths 1..5: 1 + 2 + 4 + 8 + 20, of which one
-    # per length has a single vertex and no cut to compute.
+    # Distinct word graphs at lengths 1..5: 1 + 2 + 4 + 8 + 20.  Each is built
+    # and analysed once, its exact cut included.
     distinct = 1 + 2 + 4 + 8 + 20
-    # Every canonical word, Bell(1) + ... + Bell(5), is still built and factored.
+    # Every canonical word, Bell(1) + ... + Bell(5), is still factored.
     words = 1 + 2 + 5 + 15 + 52
     assert calls == {
         "bridges": distinct,
         "scc_decomposition": distinct,
-        "weakly_connected": distinct,
-        "edge_connectivity": distinct - 5,
-        "build_graph": words,
+        "edge_connectivity": distinct,
+        "build_graph": distinct,
         "split_points": words,
     }
+
+
+def test_cut_fault_past_length_7_is_caught(monkeypatch):
+    # The 7-cycle abcdefga is the first word with 7 symbols and a cut of 2,
+    # so only an exact cut at length 8 can see this fault.
+    real = wordgraphs.verify.edge_connectivity
+
+    def weak_cut(graph):
+        cut = real(graph)
+        return 1 if len(graph.vertices) == 7 and cut >= 2 else cut
+
+    monkeypatch.setattr("wordgraphs.verify.edge_connectivity", weak_cut)
+    report = run_verification(8)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("check=equivalence l=8 word=abcdefga ")
+    assert report.lines[-1] == report.failures[0]
 
 
 def test_word_side_fault_on_a_cached_graph_is_caught(monkeypatch):
