@@ -163,12 +163,14 @@ class CountTable:
 
     def seed_strong_count(self, length: int, alphabet_size: int, value: int) -> None:
         """Overwrite one strong-count cell (fault-injection test hook).  The
-        seed outlives later refills; base cases cannot be seeded."""
+        seed outlives later refills and never scans: a cell past the table's
+        bounds takes it at the refill that reaches it.  Base cases cannot be
+        seeded."""
         if length > alphabet_size > 1:
             with self._lock:
                 self._seeds[length, alphabet_size] = value
-                self._fill_strong(length, alphabet_size)
-                self._strong[alphabet_size][length] = value
+                if length <= self._bounds[0] and alphabet_size <= self._bounds[1]:
+                    self._strong[alphabet_size][length] = value
 
     def rows(self, max_length: int, max_alphabet: int) -> Iterator[tuple[int, int, int, int, int]]:
         """(length, alphabet, stirling, strong partitions, strong words) per pair."""

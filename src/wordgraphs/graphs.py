@@ -130,7 +130,8 @@ def from_json(text: str) -> Digraph:
     prints on one line and a comma-joined walk reads back unambiguously.
     """
     try:
-        doc = json.loads(text)
+        # No label is a number: float() reads any digit count, int() stops at 4,300.
+        doc = json.loads(text, parse_int=float)
     except (ValueError, RecursionError) as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:

@@ -8,8 +8,8 @@ factorization cardinality, component counts, family cardinalities, and
 histogram totals.  Checks stop at the first counterexample.  The cap is
 decided once, before any work: a run checks every length it is asked for,
 or raises `CapExceededError`.  Each distinct word graph is built and
-analysed once, with its exact minimum cut; the word-side derivations and the
-comparisons run for every word.
+checked once per run, with its exact minimum cut, at the first word that has
+it; each word is factored once and checked against its graph's components.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator
 from .connectivity import bridges, edge_connectivity, scc_decomposition
 from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
 from .factorization import split_points
-from .graphs import Digraph, build_graph
+from .graphs import build_graph
 from .words import iter_canonical_words
 
 
@@ -100,52 +100,48 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         yield text, OK if expected == actual else FAIL
 
 
-def _graph_facts(graph: Digraph) -> tuple[int, int, bool, bool]:
-    """(components, bridges, weakly connected, 2-edge-connected) from the
-    graph layers alone.  Both connectivity facts read the minimum cut by
-    contraction: 0 exactly when the graph is weakly disconnected, None for
-    one vertex."""
-    cut = edge_connectivity(graph)
-    return scc_decomposition(graph).count, len(bridges(graph)), cut != 0, cut is None or cut >= 2
-
-
-def _verify_words(length: int, max_alphabet: int, table: CountTable) -> Check:
+def _verify_words(
+    length: int, max_alphabet: int, table: CountTable, known: list[dict[int, int]]
+) -> Check:
     """Per-word structural checks plus histogram totals for one length.
 
-    Many words share a graph, so each distinct edge set is built and analysed
-    once; every word is still keyed by its own edges, factored and checked
-    against its graph's facts, and a failure names the first word that shows it.
+    `known[n]` maps each graph the run has analysed to its strong component
+    count; every graph at length l comes back at l + 1.  A graph's own
+    relations are checked at its first word, every word's factor count
+    against its graph's components, and a failure names the first word.
     """
     label = f"check=equivalence l={length}"
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         histogram: dict[int, int] = {}
-        # Keyed by the edge set as a bit mask: word graphs of one alphabet
-        # size share the vertex set range(n), so the edges determine them.
-        facts: dict[int, tuple[int, int, bool, bool]] = {}
+        components_of = known[n]
         for word in iter_canonical_words(length, n):
-            words += 1
             letters = word.letters
             key = sum({1 << (u * n + v) for u, v in zip(letters, letters[1:]) if u != v})
-            if key not in facts:
-                facts[key] = _graph_facts(build_graph(word))
             # Two derivations: the graph's components, the word's factors.
-            components, bridge_count, weak, two_edge_connected = facts[key]
             k = len(split_points(word)) + 1
-            strong = components == 1
-            if not weak:
-                yield f"{label} word={word.text()} detail=weakly-disconnected", FAIL
-            if not (strong == two_edge_connected == (k == 1)):
-                detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
-                yield f"{label} word={word.text()} detail={detail}", FAIL
-            if bridge_count != k - 1:
-                detail = f"bridges:{bridge_count},factors:{k}"
-                yield f"{label} word={word.text()} detail={detail}", FAIL
+            components = components_of.get(key)
+            if components is None:
+                graph = build_graph(word)
+                # The exact minimum cut: 0 when weakly disconnected, None for one vertex.
+                cut = edge_connectivity(graph)
+                components_of[key] = components = scc_decomposition(graph).count
+                bridge_count = len(bridges(graph))
+                strong, two_edge_connected = components == 1, cut is None or cut >= 2
+                if cut == 0:
+                    yield f"{label} word={word.text()} detail=weakly-disconnected", FAIL
+                if not (strong == two_edge_connected == (k == 1)):
+                    detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
+                    yield f"{label} word={word.text()} detail={detail}", FAIL
+                if bridge_count != k - 1:
+                    detail = f"bridges:{bridge_count},factors:{k}"
+                    yield f"{label} word={word.text()} detail={detail}", FAIL
             if components != k:
                 detail = f"components:{components},factors:{k}"
                 yield f"{label} word={word.text()} detail={detail}", FAIL
             histogram[components] = histogram.get(components, 0) + 1
         total, stirling = sum(histogram.values()), table.stirling2(length, n)
+        words += total
         if total != stirling:
             yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", FAIL
         strong_bucket, expected = histogram.get(1, 0), table.strong_partition_count(length, n)
@@ -180,12 +176,15 @@ def run_verification(
         table = CountTable()
     recurrence = _paper_recurrence(max_length, min(max_length, max_alphabet), table)
     report = VerificationReport()
+    # One graph table per alphabet size for the whole run, keyed by the edge
+    # set as a bit mask: graphs over range(n) are determined by their edges.
+    known: list[dict[int, int]] = [{} for _ in range(min(max_length, max_alphabet) + 1)]
     for length in range(1, max_length + 1):
         # Generators: a check after the first failure never runs.
         checks = (
             _verify_recurrence(length, max_alphabet, table, recurrence),
             _verify_family(length, max_alphabet, table),
-            _verify_words(length, max_alphabet, table),
+            _verify_words(length, max_alphabet, table, known),
         )
         for check in checks:
             for text, status in check:

@@ -331,6 +331,13 @@ class TestRepresent:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_long_integer_literal_is_input_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"vertices":[' + "1" * 5000 + '],"edges":[]}')
+        code, out, err = run(capsys, "represent", "--input", path)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "set_int_max_str_digits" not in err
+
     def test_unprintable_label_is_input_error(self, capsys, tmp_path):
         doc = '{"vertices":["a\\nb","c"],"edges":[["a\\nb","c"],["c","a\\nb"]]}'
         code, out, err = run(capsys, "represent", "--input", self.write(tmp_path, doc))

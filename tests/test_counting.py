@@ -282,6 +282,19 @@ class TestCountTable:
         assert table.strong_partition_count(4, 3) == 1
         assert table.strong_partition_count(5, 1) == 1
 
+    def test_seed_never_scans(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("seeding ran a transfer scan")
+
+        table = CountTable()
+        assert table.strong_partition_count(6, 3) == strong_partition_count(6, 3)
+        monkeypatch.setattr("wordgraphs.counting._transfer_scan", no_scan)
+        # A filled cell takes its seed at once; one past the bounds waits for
+        # the refill that reaches it.
+        table.seed_strong_count(3000, 1500, 1)
+        table.seed_strong_count(5, 3, 8)
+        assert table.strong_partition_count(5, 3) == 8
+
     def test_seed_survives_a_refill(self):
         table = CountTable()
         table.seed_strong_count(5, 3, 8)

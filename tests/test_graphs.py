@@ -143,7 +143,7 @@ class TestJson:
             '{"vertices":["a\\tb","c"],"edges":[["a\\tb","c"]]}',
             '{"vertices":["a\\u2028b","c"],"edges":[]}',
             pytest.param("[" * 200_000, id="nested-200000"),
-            # Past CPython's 4,300-digit limit json.loads raises a plain ValueError.
+            # Past CPython's 4,300-digit limit int() refuses a JSON integer literal.
             pytest.param('{"vertices":[' + "1" * 5000 + '],"edges":[]}', id="digits-5000"),
         ],
     )

@@ -31,9 +31,10 @@ def test_graph_layers_run_once_per_distinct_graph(monkeypatch):
 
         monkeypatch.setattr(f"wordgraphs.verify.{name}", counting)
     assert run_verification(5).passed
-    # Distinct word graphs at lengths 1..5: 1 + 2 + 4 + 8 + 20.  Each is built
-    # and analysed once, its exact cut included.
-    distinct = 1 + 2 + 4 + 8 + 20
+    # Distinct word graphs over 1..5 symbols: every graph at length l comes
+    # back at l + 1, so the run meets 20, the count at length 5.  Each is
+    # built and analysed once, its exact cut included.
+    distinct = 20
     # Every canonical word, Bell(1) + ... + Bell(5), is still factored.
     words = 1 + 2 + 5 + 15 + 52
     assert calls == {
@@ -63,7 +64,7 @@ def test_cut_fault_past_length_7_is_caught(monkeypatch):
 
 
 def test_word_side_fault_on_a_cached_graph_is_caught(monkeypatch):
-    # abb has the graph {(0, 1)} that aab already had analysed at l=3, n=2.
+    # abb has the graph {(0, 1)} that ab already had analysed at l=2, n=2.
     real = wordgraphs.verify.split_points
 
     def lying(word):
@@ -79,7 +80,7 @@ def test_word_side_fault_on_a_cached_graph_is_caught(monkeypatch):
     assert "word=abb" in failure
 
 
-def test_graph_side_fault_names_the_first_word_with_that_graph(monkeypatch):
+def inject_extra_bridge_on_aba(monkeypatch):
     real = wordgraphs.verify.bridges
 
     def extra_bridge(graph):
@@ -87,11 +88,26 @@ def test_graph_side_fault_names_the_first_word_with_that_graph(monkeypatch):
         return [*found, (0, 1)] if graph.edges == {(0, 1), (1, 0)} else found
 
     monkeypatch.setattr("wordgraphs.verify.bridges", extra_bridge)
+
+
+def test_graph_side_fault_names_the_first_word_with_that_graph(monkeypatch):
+    inject_extra_bridge_on_aba(monkeypatch)
     report = run_verification(3)
     assert not report.passed
     assert len(report.failures) == 1
     assert report.failures[0].startswith("check=equivalence l=3 word=aba ")
     assert report.lines[-1] == report.failures[0]
+
+
+def test_graph_table_does_not_outlive_its_run(monkeypatch):
+    # A clean run first analyses every graph up to length 5; a table shared
+    # between runs would let the second run skip the faulty bridges call.
+    assert run_verification(5).passed
+    inject_extra_bridge_on_aba(monkeypatch)
+    report = run_verification(3)
+    assert not report.passed
+    assert report.failures == [report.lines[-1]]
+    assert report.failures[0].startswith("check=equivalence l=3 word=aba ")
 
 
 def test_deterministic_output():
