@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 
-from .connectivity import bridges, edge_connectivity, scc_decomposition
+from .connectivity import edge_connectivity
 from .counting import (
     DEFAULT_CAP,
     CountTable,
@@ -105,14 +105,16 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     word = _read_word(args.word)
-    graph = build_graph(word)
-    decomp = scc_decomposition(graph)
-    strong = decomp.count == 1
-    cut = edge_connectivity(graph)
     factors = finest_disjoint_factorization(word)
+    strong = len(factors) == 1
+    # One factor per strong component, and each seam between factors is a
+    # bridge of a weakly connected graph: lambda is 1 unless the word is strong.
+    cut = edge_connectivity(build_graph(word)) if strong else 1
     n = word.alphabet_size
+    # Ids follow first occurrence, so each factor's ids lie below the next's.
     bridge_text = ";".join(
-        f"{symbol_name(u, n)}->{symbol_name(v, n)}" for u, v in bridges(graph)
+        f"{symbol_name(f[-1], n)}->{symbol_name(g[0], n)}"
+        for f, g in zip(factors, factors[1:])
     )
     print(f"word={letters_text(word.letters, n)}")
     print(f"strong={'true' if strong else 'false'}")
@@ -122,7 +124,7 @@ def _cmd_check(args) -> int:
     print(f"bridges={bridge_text}")
     print("factors=" + "|".join(letters_text(f, n) for f in factors))
     print(f"k={len(factors)}")
-    print(f"sccs={decomp.count}")
+    print(f"sccs={len(factors)}")
     if args.verbose:
         if strong:
             print("# every symbol can reach every other symbol")

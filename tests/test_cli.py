@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import wordgraphs.cli
 import wordgraphs.connectivity
 from wordgraphs.cli import main
 from wordgraphs.graphs import build_graph, from_json, letter_labeled
@@ -113,20 +114,35 @@ class TestCheck:
         code, out, err = run(capsys, "check", "abcb", "--verbose")
         assert any(line.startswith("#") for line in out.splitlines())
 
-    def test_bridges_runs_once_per_word(self, capsys, monkeypatch):
-        real = wordgraphs.connectivity.bridges
-        calls = []
+    def test_only_a_strong_word_builds_its_graph(self, capsys, monkeypatch):
+        # The report is read off the factorization; the graph is built, and
+        # lambda run, only for a strong word, and never the scc or bridge pass.
+        calls = {}
 
-        def counting(graph):
-            calls.append(graph)
-            return real(graph)
+        def spy(module, name):
+            real = getattr(module, name)
 
-        for module in ("wordgraphs.connectivity", "wordgraphs.cli"):
-            monkeypatch.setattr(f"{module}.bridges", counting)
-        for word in ("abcb", "abca"):
+            def counting(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        spy(wordgraphs.cli, "build_graph")
+        spy(wordgraphs.cli, "edge_connectivity")
+        spy(wordgraphs.connectivity, "scc_decomposition")
+        spy(wordgraphs.connectivity, "bridges")
+        expected = {
+            "abcb": {},
+            "abca": {"build_graph": 1, "edge_connectivity": 1},
+            "aa": {"build_graph": 1, "edge_connectivity": 1},
+        }
+        for word, counts in expected.items():
             calls.clear()
-            run(capsys, "check", word)
-            assert len(calls) == 1, word
+            code, out, err = run(capsys, "check", word)
+            assert calls == counts, word
+        # The last word, aa, has one symbol.
+        assert "lambda=n/a" in out.splitlines()
 
     def test_word_from_stdin_beyond_the_argv_limit(self):
         # One argv string is capped at 128 KiB on Linux; stdin has no cap.

@@ -5,6 +5,8 @@ decomposition and its minimum cut from Stoer-Wagner.  Both libraries are
 test-only and optional; without them this module is skipped.
 """
 
+import contextlib
+import io
 import itertools
 import random
 
@@ -15,6 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from wordgraphs.cli import main  # noqa: E402
 from wordgraphs.connectivity import (  # noqa: E402
     bridges,
     edge_connectivity,
@@ -162,3 +165,48 @@ def test_string_labels_match_networkx(g):
     expected = {frozenset(e) for e in nx.bridges(multigraph(m))}
     assert {frozenset(e) for e in bridges(m)} == expected
     assert edge_connectivity(m) == expected_cut(m)
+
+
+@st.composite
+def disjoint_walk_words(draw):
+    """Letters of 1-4 random walks over disjoint alphabets, one after another.
+
+    Each walk is over up to 30 symbols, so the whole word often has more
+    than 26 and prints in the comma form.
+    """
+    letters = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 30))
+        walk = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4 * m))
+        base = max(letters, default=-1) + 1
+        letters += [base + c for c in walk]
+    return canonical_letters(letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(disjoint_walk_words())
+def test_check_report_matches_networkx(letters):
+    n = len(set(letters))
+    text = ",".join(map(str, letters)) if n > 26 else "".join(chr(97 + c) for c in letters)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", text])
+    assert err.getvalue() == ""
+    report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+
+    g = Digraph(frozenset(letters), frozenset(walk_edges(letters)))
+    d = nx.DiGraph()
+    d.add_nodes_from(g.vertices)
+    d.add_edges_from(g.edges)
+    sccs = nx.number_strongly_connected_components(d)
+    assert report["sccs"] == report["k"] == str(sccs)
+    assert code == (0 if sccs == 1 else 1)
+
+    name = str if n > 26 else lambda c: chr(97 + c)
+    expected = sorted(
+        (u, v) if (u, v) in g.edges else (v, u) for u, v in nx.bridges(multigraph(g))
+    )
+    assert report["bridges"] == ";".join(f"{name(u)}->{name(v)}" for u, v in expected)
+
+    cut = expected_cut(g)
+    assert report["lambda"] == ("n/a" if cut is None else str(cut))

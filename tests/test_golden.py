@@ -162,6 +162,9 @@ def test_verify_output_is_pinned(argv, capsys):
 
 COMMA_30 = ",".join(str(i) for i in range(30)) + ",0"
 COMMA_28 = ",".join(str(i) for i in range(28)) + ",0,5,27"
+# Three factors over 30 symbols; each seam leaves a factor by a symbol that
+# is not its largest.
+SEAMS_30 = ",".join(str(c) for c in [0, 1, 0, *range(2, 15), 2, *range(15, 30), 15, 29])
 
 # argv: (exit code, stdout line count, stdout SHA-256)
 CLI_EXPECTED = {
@@ -174,6 +177,11 @@ CLI_EXPECTED = {
         0,
         8,
         "bdf201b624e86e2e06bd8288cecda42a6dc8467ebb6b64c4f38be98871162abb",
+    ),
+    ("check", SEAMS_30): (
+        1,
+        8,
+        "ca2260dd7095a49f321b0fb069f6a98a73f6ac0e4df2b51876122d7b3324da16",
     ),
     ("build", "abcab", "--format", "dot"): (
         0,
