@@ -165,7 +165,12 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     table = CountTable()
     if args.seed_count:
-        length, alphabet, value = (int(part) for part in args.seed_count.split(":"))
+        try:
+            length, alphabet, value = (int(part) for part in args.seed_count.split(":"))
+        except ValueError:
+            raise ValueError(
+                f"--seed-count expects L:N:VALUE, three integers; got {args.seed_count!r}"
+            ) from None
         table.seed_strong_count(length, alphabet, value)
     report = run_verification(
         args.max_length, args.max_alphabet, cap=args.cap, table=table
@@ -219,10 +224,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # Counts print in full.  The digit limit is lifted after parsing and never
-    # for `represent`, where it keeps converting JSON integer literals cheap.
+    # Counts print in full, so the digit limit is lifted after parsing, for the
+    # command only.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None and args.command in ("count", "table", "histogram", "verify"):
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "cap", 0) < 0:

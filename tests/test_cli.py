@@ -297,6 +297,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-length", "1")
         assert code == 2
 
+    def test_malformed_seed_count_names_the_option(self, capsys):
+        for value in ("1:2", "a:b:c", "::", "1:2:3:4"):
+            code, out, err = run(capsys, "verify", "--max-length", "3", "--seed-count", value)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: --seed-count expects L:N:VALUE, three integers; got {value!r}\n"
+            )
+
     def test_over_the_cap_checks_nothing(self, capsys):
         # Bell(9) = 21,147 > 1000: no length is checked, so nothing passes.
         code, out, err = run(capsys, "verify", "--max-length", "9", "--cap", "1000", "--verbose")

@@ -3,7 +3,8 @@
 `synthesize_word` and `wordgraphs represent` are deterministic, so their
 exact output is part of the contract, not only the graph it rebuilds.  The
 expected values below pin that output; long ones are pinned by length and
-SHA-256 digest.  The reports of `verify`, `check`, `build`, `table`,
+SHA-256 digest, and the witnesses of a seeded corpus of 3,000 graphs by
+one digest.  The reports of `verify`, `check`, `build`, `table`,
 `histogram` and `count` are pinned the same way, by exit code, line count
 and digest, so the order and format of every line is kept, not only the
 fields a parser reads.
@@ -16,17 +17,18 @@ import pytest
 from wordgraphs.cli import main
 from wordgraphs.connectivity import scc_decomposition, strongly_connected
 from wordgraphs.graphs import Digraph, build_graph, letter_labeled, to_json
-from wordgraphs.represent import synthesize_word
+from wordgraphs.represent import (
+    NotRepresentableError,
+    representational_walk,
+    synthesize_word,
+)
 from wordgraphs.words import Word, parse_word
 
 from brute import walk_edges
 
 
-def lcg_strong_graph(symbols, letters, seed):
-    """Graph of a closed walk that visits every symbol, drawn with a 64-bit LCG.
-
-    The walk starts and ends at symbol 0, so the graph is strongly connected.
-    """
+def lcg(seed):
+    """draw(bound) from a 64-bit LCG, so seeded inputs do not depend on `random`."""
     state = seed
 
     def draw(bound):
@@ -34,6 +36,15 @@ def lcg_strong_graph(symbols, letters, seed):
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         return (state >> 33) % bound
 
+    return draw
+
+
+def lcg_strong_graph(symbols, letters, seed):
+    """Graph of a closed walk that visits every symbol, drawn with a 64-bit LCG.
+
+    The walk starts and ends at symbol 0, so the graph is strongly connected.
+    """
+    draw = lcg(seed)
     rest = list(range(1, symbols))
     for i in range(len(rest) - 1, 0, -1):
         j = draw(i + 1)
@@ -113,6 +124,53 @@ def test_represent_output_is_pinned(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert pin(captured.out) == EXPECTED[name][1]
+
+
+def seeded_corpus(count, seed):
+    """Graphs of words with 1-4 alphabet-disjoint strong factors, a copy of
+    each with string labels, and small random digraphs, some not representable."""
+    draw = lcg(seed)
+    for _ in range(count):
+        letters, base = [], 0
+        for _ in range(1 + draw(4)):
+            n = 1 + draw(6)
+            order = [base + i for i in range(n)]
+            for i in range(n - 1, 0, -1):
+                j = draw(i + 1)
+                order[i], order[j] = order[j], order[i]
+            letters += [*order, *(base + draw(n) for _ in range(draw(2 * n + 1))), order[0]]
+            base += n
+        ids = {}
+        g = build_graph(Word(tuple(ids.setdefault(c, len(ids)) for c in letters)))
+        yield g
+        name = {v: f"s{draw(1000)}-{v}" for v in g.vertices}
+        yield Digraph(set(name.values()), {(name[u], name[v]) for u, v in g.edges})
+        n, threshold = 1 + draw(6), 1 + draw(3)
+        yield Digraph(
+            range(n),
+            {(u, v) for u in range(n) for v in range(n) if u != v and draw(4) < threshold},
+        )
+
+
+def witness_line(graph):
+    try:
+        return ",".join(map(str, representational_walk(graph)))
+    except NotRepresentableError:
+        return "not representable"
+
+
+# (graphs, not representable, SHA-256 of the witness lines)
+CORPUS_EXPECTED = (
+    3000,
+    327,
+    "7cbc0d8c8daa55d7394ce57015c030760a1d96dfa5503781f8905b9a1c499722",
+)
+
+
+def test_seeded_corpus_witnesses_are_pinned():
+    lines = [witness_line(g) for g in seeded_corpus(1000, seed=21)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), lines.count("not representable"), digest) == CORPUS_EXPECTED
 
 
 def test_chain_has_300_components():

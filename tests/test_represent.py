@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
 import wordgraphs.connectivity
+import wordgraphs.graphs
+import wordgraphs.represent
 from wordgraphs.connectivity import weakly_connected
 from wordgraphs.graphs import Digraph, InvalidGraphError, build_graph
 from wordgraphs.represent import (
@@ -130,9 +134,35 @@ class TestSynthesis:
             assert walk_edges(walk) == g.edges
         assert passes[0] == passes[1]
 
+    def test_subgraphs_do_not_grow_with_components(self, monkeypatch):
+        # One walk covers the whole graph: no component gets its own
+        # `Digraph` or its own successor lists.
+        calls = []
+        real_init, real_out_lists = Digraph.__post_init__, wordgraphs.graphs._out_lists
+
+        def counting_init(graph):
+            calls.append("Digraph")
+            real_init(graph)
+
+        def counting_out_lists(graph):
+            calls.append("_out_lists")
+            return real_out_lists(graph)
+
+        monkeypatch.setattr(Digraph, "__post_init__", counting_init)
+        for module in (wordgraphs.graphs, wordgraphs.connectivity, wordgraphs.represent):
+            monkeypatch.setattr(module, "_out_lists", counting_out_lists)
+        counts = []
+        for components in (50, 500):
+            g = chain_graph(components)
+            calls.clear()
+            walk = representational_walk(g)
+            counts.append(Counter(calls))
+            assert walk_edges(walk) == g.edges
+        assert counts[0] == counts[1]
+
     def test_one_scc_decomposition_in_total(self, monkeypatch):
-        # The condensation already shows every component strong, so the
-        # per-component walks must not decompose them again.
+        # The condensation already shows every component strong, so the walk
+        # must not decompose the graph or any component again.
         real = wordgraphs.connectivity.scc_decomposition
         calls = []
 
