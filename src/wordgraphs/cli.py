@@ -116,7 +116,7 @@ def _cmd_check(args) -> int:
         f"{symbol_name(f[-1], n)}->{symbol_name(g[0], n)}"
         for f, g in zip(factors, factors[1:])
     )
-    print(f"word={letters_text(word.letters, n)}")
+    print(f"word={word.text()}")
     print(f"strong={'true' if strong else 'false'}")
     # Lambda is 0 exactly when the graph is weakly disconnected, None for one vertex.
     print(f"weak={'true' if cut != 0 else 'false'}")

@@ -22,15 +22,23 @@ def split_points(word: Word) -> list[int]:
 
     Symbols are taken in order of first occurrence, each with the span from
     its first to its last occurrence.  A prefix is closed off exactly where
-    the next symbol first occurs past the furthest span end so far.  The
-    scans over the letters run in C (the dict of last occurrences and
-    `tuple.index` resuming at the previous first occurrence), so the Python
-    loop is once per symbol.
+    the next symbol first occurs past the furthest span end so far.  Every
+    scan over the letters runs in C, so the Python loop is once per symbol.
+    A tuple word takes its last occurrences from one dict of the letters; a
+    byte word takes them from `bytes.rfind`, one call per symbol, ordered
+    by `bytes.find`.  Each first occurrence then comes from `index`,
+    resuming at the previous one.
     """
-    letters = word.letters
+    letters = word._bytes
+    if letters is None:
+        letters = word.letters
+        lasts = dict(zip(letters, range(1, len(letters) + 1)))
+    else:
+        order = sorted(range(word.alphabet_size), key=letters.find)
+        lasts = {c: letters.rfind(c) + 1 for c in order}
     out = []
     reach = first = 0
-    for c, last in dict(zip(letters, range(1, len(letters) + 1))).items():
+    for c, last in lasts.items():
         first = letters.index(c, first)
         if first == reach and reach:
             out.append(reach)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .words import Word, symbol_name
@@ -51,11 +52,29 @@ class Digraph:
 
 def build_graph(word: Word) -> Digraph:
     """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs."""
-    letters = word.letters
-    # Collapse repeats in C first, so self-loops are dropped once per distinct pair.
-    pairs = set(zip(letters, letters[1:]))
+    letters = word._bytes
+    if letters is None:
+        letters = word.letters
+        # Collapse repeats in C first, so self-loops are dropped once per distinct pair.
+        pairs = set(zip(letters, letters[1:]))
+    else:
+        pairs = _byte_pairs(letters)
     edges = frozenset(pair for pair in pairs if pair[0] != pair[1])
     return Digraph(frozenset(range(word.alphabet_size)), edges)
+
+
+def _byte_pairs(letters: bytes):
+    """The distinct adjacent pairs of a byte word, collapsed in C.
+
+    Each pair is one 16-bit lane of two interleaved copies, its first letter
+    in the lane's high byte, so one set of lanes collapses the repeats and
+    each lane reads 256 * first + second in either native byte order.
+    """
+    high = 1 if sys.byteorder == "little" else 0
+    lanes = bytearray(2 * len(letters) - 2)
+    lanes[high::2] = letters[:-1]
+    lanes[1 - high :: 2] = letters[1:]
+    return (divmod(lane, 256) for lane in set(memoryview(lanes).cast("H")))
 
 
 def letter_labeled(graph: Digraph) -> Digraph:

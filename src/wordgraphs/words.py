@@ -9,6 +9,14 @@ occurrence, so `parse_word(word.text())` is a word's canonical form.
 Canonical words are the set partitions of the positions, symbol i naming
 the block of positions where it occurs, so canonical enumeration is
 partition enumeration.
+
+A word built from `bytes`, one byte per letter, also keeps those bytes.
+`parse_word` builds that form whenever the alphabet fits in a byte, and
+`split_points` and `build_graph` then scan the bytes with C builtins:
+`split_points` calls `find` and `rfind` once per symbol, and `build_graph`
+collapses 16-bit pair codes in one set.  Words built from a tuple, such as
+the canonical words `verify` enumerates, keep the tuple scans, which cost
+less on tiny words.
 """
 
 from __future__ import annotations
@@ -26,27 +34,45 @@ class InvalidWordError(ValueError):
     """Symbol ids are not dense 0-based integers."""
 
 
-_LETTERS_RE = re.compile(r"[a-z]+\Z")
-_TOKENS_RE = re.compile(r"[0-9,]+\Z")
+# A text is letters or comma-separated decimal tokens; the match ends at the
+# first character its form does not allow.
+_WORD_RE = re.compile(r"(?P<letters>[a-z]+)|[0-9,]+")
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
+# Byte i is i: translating it with a word's bytes deleted leaves the absent ids.
+_BYTE_IDS = bytes(range(256))
 
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable symbol sequence over an exact alphabet."""
+    """An immutable symbol sequence over an exact alphabet.
+
+    `letters` is always a tuple of ints.  Given as `bytes`, the word also
+    keeps them as `_bytes`, which the letter layers scan in C; it is not a
+    field, so equality, hashing and repr see only the letters.
+    """
 
     letters: tuple[int, ...]
 
+    _bytes = None  # not annotated, so not a field
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not self.letters:
+        given = self.letters
+        letters = tuple(given)
+        object.__setattr__(self, "letters", letters)
+        if not letters:
             raise EmptyWordError("word must contain at least one symbol")
-        ids = set(self.letters)
-        if ids != set(range(len(ids))):
-            raise InvalidWordError(
-                f"symbol ids must be exactly 0..{len(ids) - 1}, got {sorted(ids)}"
-            )
-        # Not a field, so equality, hashing and repr still see only the letters.
-        object.__setattr__(self, "_alphabet_size", len(ids))
+        if type(given) is bytes:
+            object.__setattr__(self, "_bytes", given)
+            absent = _BYTE_IDS.translate(None, given)
+            n = 256 - len(absent)
+            if absent != _BYTE_IDS[n:]:
+                raise _not_dense(n, absent[0])
+        else:
+            ids = set(letters)
+            n = len(ids)
+            if ids != set(range(n)):
+                raise _not_dense(n, min(set(range(n)) - ids))
+        object.__setattr__(self, "_alphabet_size", n)
 
     @property
     def length(self) -> int:
@@ -58,10 +84,15 @@ class Word:
 
     def text(self) -> str:
         """Presentation form: letters for alphabets up to 26, else comma-separated ids."""
-        return letters_text(self.letters, self.alphabet_size)
+        return letters_text(self._bytes or self.letters, self.alphabet_size)
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _not_dense(n: int, missing: int) -> InvalidWordError:
+    # Name one missing id, not the ids: a word may have a million.
+    return InvalidWordError(f"symbol ids must be exactly 0..{n - 1}, but {missing} is missing")
 
 
 def symbol_name(symbol: int, alphabet_size: int) -> str:
@@ -72,10 +103,10 @@ def symbol_name(symbol: int, alphabet_size: int) -> str:
 
 
 # Byte i becomes the letter of symbol i, so short alphabets render in C.
-_LETTER_TABLE = bytes.maketrans(bytes(range(26)), b"abcdefghijklmnopqrstuvwxyz")
+_LETTER_TABLE = bytes.maketrans(_BYTE_IDS[:26], _LOWERCASE.encode("ascii"))
 
 
-def letters_text(letters: tuple[int, ...], alphabet_size: int) -> str:
+def letters_text(letters: tuple[int, ...] | bytes, alphabet_size: int) -> str:
     """Text for symbol ids: letters for alphabets up to 26, else comma-separated ids."""
     if alphabet_size <= 26:
         return bytes(letters).translate(_LETTER_TABLE).decode("ascii")
@@ -87,25 +118,34 @@ def parse_word(text: str) -> Word:
     """Parse a word from text, assigning ids by first occurrence.
 
     Lowercase letters give one symbol per character; texts containing
-    digits or commas are read as comma-separated decimal tokens.
+    digits or commas are read as comma-separated decimal tokens.  The word
+    is built from bytes whenever its alphabet fits in a byte.
     """
     if not text:
         raise EmptyWordError("empty input")
-    if _LETTERS_RE.match(text):
-        symbols: str | list[str] = text
-    elif _TOKENS_RE.match(text):
-        symbols = text.split(",")
-        # Every character is a digit or a comma, so only an empty token is malformed.
-        if "" in symbols:
-            raise InvalidWordError(f"malformed token list: {text!r}")
-    else:
-        raise InvalidWordError(f"unsupported characters in {text!r}")
+    match = _WORD_RE.match(text)
+    end = match.end() if match else 0
+    if end < len(text):
+        raise InvalidWordError(f"unsupported character {text[end]!r} at position {end}")
+    if match["letters"]:
+        # Each letter's first occurrence orders the symbols; one translate maps them.
+        firsts = sorted((i, c) for c in _LOWERCASE if (i := text.find(c)) >= 0)
+        table = bytes.maketrans(
+            "".join(c for _, c in firsts).encode("ascii"), _BYTE_IDS[: len(firsts)]
+        )
+        return Word(text.encode("ascii").translate(table))
+    symbols = text.split(",")
+    # Every character is a digit or a comma, so only an empty token is malformed.
+    if "" in symbols:
+        at = 0 if text[0] == "," else text.find(",,") + 1 or len(text)
+        raise InvalidWordError(f"malformed token list: empty token at position {at}")
     # Tokens are decimal ids, so "01" and "1" name the same symbol.  Each
     # distinct symbol is named once, in order of first occurrence, and the
     # letters are mapped to ids in C.
     names: dict[str, int] = {}
     ids = {s: names.setdefault(s.lstrip("0") or "0", len(names)) for s in dict.fromkeys(symbols)}
-    return Word(tuple(map(ids.__getitem__, symbols)))
+    letters = map(ids.__getitem__, symbols)
+    return Word(bytes(letters) if len(names) <= 256 else tuple(letters))
 
 
 def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:

@@ -1,9 +1,12 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+
+import pytest
 
 import wordgraphs.cli
 import wordgraphs.connectivity
@@ -143,6 +146,21 @@ class TestCheck:
             assert calls == counts, word
         # The last word, aa, has one symbol.
         assert "lambda=n/a" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("ab" * 350_000 + "!" + "c" * 299_999, "unsupported character '!' at position 700000"),
+            ("1,2," * 250_000 + "x", "unsupported character 'x' at position 1000000"),
+            ("1,2," * 100_000 + "," + "3,4," * 150_000, "malformed token list: empty token at position 400000"),
+        ],
+    )
+    def test_malformed_million_letter_word_names_one_position(self, capsys, monkeypatch, word, message):
+        # The error names the first offending place, not the whole text.
+        monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+        code, out, err = run(capsys, "check", "-")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err) < 200
 
     def test_word_from_stdin_beyond_the_argv_limit(self):
         # One argv string is capped at 128 KiB on Linux; stdin has no cap.

@@ -1,13 +1,17 @@
-"""Differential tests for the layers that scan a word letter by letter.
+"""Differential tests for the layers that scan a word's letters.
 
 `parse_word`, `letters_text`, `build_graph` and `split_points` run their
-per-letter passes inside C builtins.  Each is compared here with the
+scans inside C builtins: over the tuple of a word built from one, and over
+the bytes of a word built from bytes, which `parse_word` gives whenever the
+alphabet fits in a byte.  Each is compared here, in both forms, with the
 definition it implements, written out letter by letter in this file and
 sharing no code with wordgraphs, on words up to 2,000 letters whose ids
-need not be canonical, and on one 300k-letter `check -`.
+need not be canonical, on `check -` of 300k-letter words, and on token
+words at 255, 256 and 257 distinct ids, either side of the byte form.
 """
 
 import io
+import itertools
 import random
 
 import pytest
@@ -17,10 +21,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wordgraphs.cli import main  # noqa: E402
-from wordgraphs.factorization import split_points  # noqa: E402
+from wordgraphs.factorization import finest_disjoint_factorization, split_points  # noqa: E402
 from wordgraphs.graphs import build_graph  # noqa: E402
 from wordgraphs.represent import synthesize_word  # noqa: E402
-from wordgraphs.words import Word, letters_text, parse_word  # noqa: E402
+from wordgraphs.words import EmptyWordError, InvalidWordError, Word, letters_text, parse_word  # noqa: E402
 
 from brute import canonical_letters, reachable, undirected_connected, walk_edges  # noqa: E402
 
@@ -48,7 +52,8 @@ def random_letters(rng, chunks, overlap):
 @st.composite
 def words(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    chunk = st.tuples(st.integers(1, 12), st.integers(1, 400))
+    # Up to 320 symbols, so some words have no byte form.
+    chunk = st.tuples(st.integers(1, 40), st.integers(1, 400))
     chunks = draw(st.lists(chunk, min_size=1, max_size=8))
     letters = random_letters(rng, chunks, draw(st.booleans()))[:MAX_LENGTH]
     # Truncation can drop a symbol; renumber densely, keeping the shuffle.
@@ -82,18 +87,49 @@ def text_oracle(letters, alphabet_size):
     return ",".join(str(c) for c in letters)
 
 
+def both_forms(word):
+    """The word as built from its tuple and, when its ids fit in a byte, from bytes."""
+    if word.alphabet_size > 256:
+        return [word]
+    return [word, Word(bytes(word.letters))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(words())
 def test_split_points_close_off_disjoint_alphabets(word):
-    assert split_points(word) == split_oracle(word.letters)
+    for form in both_forms(word):
+        assert split_points(form) == split_oracle(word.letters)
 
 
 @settings(max_examples=150, deadline=None)
 @given(words())
 def test_build_graph_has_one_edge_per_distinct_adjacent_pair(word):
-    graph = build_graph(word)
-    assert graph.vertices == frozenset(word.letters)
-    assert graph.edges == walk_edges(word.letters)
+    for form in both_forms(word):
+        graph = build_graph(form)
+        assert graph.vertices == frozenset(word.letters)
+        assert graph.edges == walk_edges(word.letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words())
+def test_byte_and_tuple_forms_are_one_word(word):
+    for form in both_forms(word)[1:]:
+        assert type(form.letters) is tuple and form.letters == word.letters
+        assert form == word and hash(form) == hash(word) and repr(form) == repr(word)
+        assert form.alphabet_size == word.alphabet_size and form.text() == word.text()
+        assert split_points(form) == split_points(word)
+        assert finest_disjoint_factorization(form) == finest_disjoint_factorization(word)
+        assert build_graph(form) == build_graph(word)
+
+
+@pytest.mark.parametrize("letters", [(), (0, 2), (1, 1), (0, 1, 3, 3)])
+def test_byte_and_tuple_forms_reject_alike(letters):
+    errors = []
+    for given in (letters, bytes(letters)):
+        with pytest.raises((EmptyWordError, InvalidWordError)) as info:
+            Word(given)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("alphabet_size", [1, 25, 26, 27, 28, 300])
@@ -116,24 +152,35 @@ def test_leading_zero_tokens_name_one_symbol():
     assert parse_word("002,01,1,2,0,000").letters == (0, 1, 1, 0, 2, 2)
 
 
-@pytest.mark.parametrize("symbols_per_part", [5, 12])
-def test_check_on_a_300k_letter_word(monkeypatch, capsys, symbols_per_part):
-    """Four strong parts over disjoint alphabets, each a closed walk: its
-    report is read field by field against the oracles above."""
-    rng = random.Random(symbols_per_part)
-    letters = []
-    for part in range(4):
-        base = part * symbols_per_part
-        body = [base + c for c in range(symbols_per_part)]
-        body += [base + rng.randrange(symbols_per_part) for _ in range(75_000 - symbols_per_part - 1)]
-        letters += body + [base]
-    alphabet_size = 4 * symbols_per_part
-    text = text_oracle(letters, alphabet_size)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
-    code = main(["check", "-"])
-    out, err = capsys.readouterr()
-    fields = dict(line.split("=", 1) for line in out.splitlines())
+def cut_oracle(vertices, edges, bridges):
+    """The fewest edges whose removal disconnects the underlying multigraph,
+    an antiparallel pair counting twice; None for one vertex."""
+    if len(vertices) == 1:
+        return None
+    if not undirected_connected(vertices, edges):
+        return 0
+    if bridges:
+        return 1
+    # No single edge disconnects, so a vertex of degree 2 is a minimum cut.
+    degree = {v: 0 for v in vertices}
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    if min(degree.values()) == 2:
+        return 2
+    assert len(vertices) <= 16, "too many vertices to try every side of a cut"
+    first, *rest = sorted(vertices)
+    return min(
+        sum((u in side) != (v in side) for u, v in edges)
+        for r in range(len(rest))
+        for side in map({first}.union, itertools.combinations(rest, r))
+    )
 
+
+def report_oracle(letters, alphabet_size):
+    """Exit code and fields of `check` on the canonical form of `letters`,
+    each field from the oracles above."""
+    letters = list(canonical_letters(letters))
     vertices = set(letters)
     edges = walk_edges(letters)
     reach = {u: reachable(edges, u) for u in vertices}
@@ -141,18 +188,71 @@ def test_check_on_a_300k_letter_word(monkeypatch, capsys, symbols_per_part):
     cuts = split_oracle(letters)
     bounds = [0, *cuts, len(letters)]
     factors = [letters[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
+    assert len(components) == len(factors)
     bridges = sorted(e for e in edges if not undirected_connected(vertices, edges - {e}))
+    cut = cut_oracle(vertices, edges, bridges)
     names = [text_oracle([c], alphabet_size) for c in range(alphabet_size)]
-
-    assert (code, err) == (1, "")
-    assert len(components) == len(factors) == 4
-    assert fields == {
-        "word": text,
-        "strong": "false",
-        "weak": "true",
-        "lambda": "1",
+    strong = len(components) == 1
+    return 0 if strong else 1, {
+        "word": text_oracle(letters, alphabet_size),
+        "strong": "true" if strong else "false",
+        "weak": "false" if cut == 0 else "true",
+        "lambda": "n/a" if cut is None else str(cut),
         "bridges": ";".join(f"{names[u]}->{names[v]}" for u, v in bridges),
         "factors": "|".join(text_oracle(f, alphabet_size) for f in factors),
-        "k": "4",
-        "sccs": "4",
+        "k": str(len(factors)),
+        "sccs": str(len(components)),
     }
+
+
+def check_stdin(monkeypatch, capsys, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+    code = main(["check", "-"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, dict(line.split("=", 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "parts, symbols_per_part",
+    [pytest.param(4, 5, id="5"), pytest.param(4, 12, id="12"), pytest.param(1, 12, id="strong12")],
+)
+def test_check_on_a_300k_letter_word(monkeypatch, capsys, parts, symbols_per_part):
+    """Strong parts over disjoint alphabets, each a closed walk: the report
+    is read field by field against the oracles above.  A one-part word is
+    strong, so `check` builds its graph and computes lambda."""
+    rng = random.Random(symbols_per_part)
+    letters = []
+    for part in range(parts):
+        base = part * symbols_per_part
+        body = [base + c for c in range(symbols_per_part)]
+        body += [base + rng.randrange(symbols_per_part) for _ in range(300_000 // parts - symbols_per_part - 1)]
+        letters += body + [base]
+    alphabet_size = parts * symbols_per_part
+    expected = report_oracle(letters, alphabet_size)
+    assert expected[1]["k"] == str(parts)
+    assert check_stdin(monkeypatch, capsys, text_oracle(letters, alphabet_size)) == expected
+
+
+@pytest.mark.parametrize("strong", [True, False])
+@pytest.mark.parametrize("alphabet_size", [255, 256, 257])
+def test_check_either_side_of_the_byte_form(monkeypatch, capsys, alphabet_size, strong):
+    """Token words with shuffled ids and leading zeros: up to 256 distinct
+    ids `parse_word` builds the word from bytes, past that from a tuple.
+    The strong word's first symbol occurs only at its two ends, so it has
+    degree 2; the other word is two strong parts joined by one seam."""
+    rng = random.Random(alphabet_size)
+    ids = list(range(alphabet_size))
+    rng.shuffle(ids)
+    if strong:
+        letters = ids + [rng.choice(ids[1:]) for _ in range(300)] + ids[:1]
+    else:
+        half = alphabet_size // 2
+        left, right = ids[:half], ids[half:]
+        letters = left + [rng.choice(left) for _ in range(150)] + left[:1]
+        letters += right + [rng.choice(right) for _ in range(150)] + right[:1]
+    text = ",".join("0" * rng.randrange(3) + str(c) for c in letters)
+    assert (parse_word(text)._bytes is None) == (alphabet_size > 256)
+    expected = report_oracle(letters, alphabet_size)
+    assert expected[1]["strong"] == str(strong).lower()
+    assert check_stdin(monkeypatch, capsys, text) == expected

@@ -51,10 +51,23 @@ class TestParse:
         assert parse_word("1,01,001").letters == (0, 0, 0)
         assert parse_word("0,00,10").letters == (0, 0, 1)
 
-    @pytest.mark.parametrize("text", ["ab c", "ABC", "a-b", ",", "1,,2", "a,b"])
-    def test_unsupported_text(self, text):
-        with pytest.raises(InvalidWordError):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("ab c", "unsupported character ' ' at position 2", id="ab c"),
+            pytest.param("ABC", "unsupported character 'A' at position 0", id="ABC"),
+            pytest.param("a-b", "unsupported character '-' at position 1", id="a-b"),
+            pytest.param("a,b", "unsupported character ',' at position 1", id="a,b"),
+            pytest.param("1,a", "unsupported character 'a' at position 2", id="1,a"),
+            pytest.param(",", "malformed token list: empty token at position 0", id=","),
+            pytest.param("1,,2", "malformed token list: empty token at position 2", id="1,,2"),
+            pytest.param("12,", "malformed token list: empty token at position 3", id="12,"),
+        ],
+    )
+    def test_unsupported_text(self, text, message):
+        with pytest.raises(InvalidWordError) as info:
             parse_word(text)
+        assert str(info.value) == message
 
     def test_text_round_trip(self):
         for w in all_words(4, 4, Word):
@@ -74,6 +87,11 @@ class TestWordInvariants:
             Word((0, 2))
         with pytest.raises(InvalidWordError):
             Word((1, 1))
+
+    def test_dense_error_names_one_missing_id(self):
+        with pytest.raises(InvalidWordError) as info:
+            Word(tuple(range(1, 1_000_001)))
+        assert str(info.value) == "symbol ids must be exactly 0..999999, but 0 is missing"
 
     def test_empty_letters(self):
         with pytest.raises(EmptyWordError):
