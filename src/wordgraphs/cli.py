@@ -25,7 +25,7 @@ from .counting import (
     strong_partition_count,
     strong_word_count,
 )
-from .factorization import finest_disjoint_factorization
+from .factorization import _factor_slices
 from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
@@ -105,7 +105,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     word = _read_word(args.word)
-    factors = finest_disjoint_factorization(word)
+    # Cut a byte word's bytes, so each factor renders in C like the whole word.
+    factors = _factor_slices(word, word._bytes or word.letters)
     strong = len(factors) == 1
     # One factor per strong component, and each seam between factors is a
     # bridge of a weakly connected graph: lambda is 1 unless the word is strong.

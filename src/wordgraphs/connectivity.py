@@ -16,10 +16,10 @@ each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .graphs import Digraph, _multigraph, _out_lists
+from .words import _Frozen
 
 
 class EmptyGraphError(ValueError):
@@ -31,12 +31,14 @@ def _require_vertices(graph: Digraph) -> None:
         raise EmptyGraphError("graph has no vertices")
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(_Frozen):
     """Maximal strongly connected components, listed in topological order."""
 
-    components: tuple[frozenset, ...]
-    component_index: Mapping
+    __slots__ = ("components", "component_index")
+
+    def __init__(self, components: tuple[frozenset, ...], component_index: Mapping) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "component_index", component_index)
 
     @property
     def count(self) -> int:
@@ -261,8 +263,7 @@ def _find(parent: dict, v):
     return v
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(_Frozen):
     """Quotient of a digraph by its strong components.
 
     Component indices follow the topological order of the decomposition.
@@ -272,9 +273,17 @@ class Condensation:
     of each entry is that edge's multiplicity.
     """
 
-    components: tuple[frozenset, ...]
-    internal: tuple[frozenset, ...]
-    crossing: Mapping[tuple[int, int], frozenset]
+    __slots__ = ("components", "internal", "crossing")
+
+    def __init__(
+        self,
+        components: tuple[frozenset, ...],
+        internal: tuple[frozenset, ...],
+        crossing: Mapping[tuple[int, int], frozenset],
+    ) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "internal", internal)
+        object.__setattr__(self, "crossing", crossing)
 
 
 def condensation(graph: Digraph) -> Condensation:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator
+from collections.abc import Iterator
 
 DEFAULT_CAP = 10_000_000
 

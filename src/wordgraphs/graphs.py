@@ -7,37 +7,34 @@ because the graph is simple, and identical pairs ("aa") contribute nothing.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
-from dataclasses import dataclass
 
-from .words import Word, symbol_name
+from .words import Word, _Frozen, symbol_name
 
 
 class InvalidGraphError(ValueError):
     """Self-loop, unknown endpoint, or malformed serialized form."""
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Frozen):
     """An immutable simple digraph without self-loops.
 
-    Vertices carry mutually orderable hashable labels (symbol ids for word
-    graphs, strings read from JSON), so traversals order them by `sorted`;
-    the underlying undirected multigraph is held as multiplicities.
+    `vertices` and `edges` are frozensets, and equality, hashing and repr
+    read both.  Vertices carry mutually orderable hashable labels (symbol ids
+    for word graphs, strings read from JSON), so traversals order them by
+    `sorted`; the underlying undirected multigraph is held as multiplicities.
     """
 
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        vertices = frozenset(self.vertices)
+    def __init__(self, vertices, edges) -> None:
+        vertices = frozenset(vertices)
         try:
             sorted(vertices)
         except TypeError as exc:
             raise InvalidGraphError(f"labels are not mutually orderable: {exc}") from exc
-        edges = frozenset(tuple(e) for e in self.edges)
+        edges = frozenset(tuple(e) for e in edges)
         for e in edges:
             if len(e) != 2:
                 raise InvalidGraphError(f"edge {e!r} is not a pair")
@@ -48,6 +45,20 @@ class Digraph:
                 raise InvalidGraphError(f"edge {e!r} uses an unknown vertex")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.vertices, self.edges)
 
 
 def build_graph(word: Word) -> Digraph:
@@ -135,6 +146,8 @@ def to_json(graph: Digraph) -> str:
 
     Round-trips exactly through from_json when the labels are strings.
     """
+    import json  # here, not at the top: most commands never serialize
+
     vertices = sorted(str(v) for v in graph.vertices)
     if len(set(vertices)) != len(vertices):
         raise InvalidGraphError("labels collide when rendered as strings")
@@ -148,6 +161,8 @@ def from_json(text: str) -> Digraph:
     Labels must be non-empty, printable and free of ',' so that a walk
     prints on one line and a comma-joined walk reads back unambiguously.
     """
+    import json
+
     try:
         # No label is a number: float() reads any digit count, int() stops at 4,300.
         doc = json.loads(text, parse_int=float)

@@ -15,8 +15,7 @@ it; each word is factored once and checked against its graph's components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
 from .connectivity import bridges, edge_connectivity, scc_decomposition
 from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
@@ -25,12 +24,15 @@ from .graphs import build_graph
 from .words import iter_canonical_words
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a verification run: one line per check, failures separate."""
 
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("lines", "failures")
+
+    def __init__(self, lines: list[str] | None = None, failures: list[str] | None = None) -> None:
+        # A fresh list per report: a shared default would collect every run's lines.
+        self.lines = [] if lines is None else lines
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

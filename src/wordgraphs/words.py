@@ -22,8 +22,7 @@ less on tiny words.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class EmptyWordError(ValueError):
@@ -42,37 +41,63 @@ _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 _BYTE_IDS = bytes(range(256))
 
 
-@dataclass(frozen=True)
-class Word:
+class _Frozen:
+    """Base of the immutable values: assigning or deleting an attribute raises
+    AttributeError, so constructors set their slots with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
     """An immutable symbol sequence over an exact alphabet.
 
-    `letters` is always a tuple of ints.  Given as `bytes`, the word also
-    keeps them as `_bytes`, which the letter layers scan in C; it is not a
-    field, so equality, hashing and repr see only the letters.
+    `letters` is always a tuple of ints, and equality, hashing and repr read
+    only it.  Given as `bytes`, the word also keeps them as `_bytes`, which
+    the letter layers scan in C; given as a tuple, `_bytes` is None.
     """
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters", "_bytes", "_alphabet_size")
 
-    _bytes = None  # not annotated, so not a field
-
-    def __post_init__(self) -> None:
-        given = self.letters
+    def __init__(self, letters: tuple[int, ...] | bytes) -> None:
+        given = letters
         letters = tuple(given)
-        object.__setattr__(self, "letters", letters)
         if not letters:
             raise EmptyWordError("word must contain at least one symbol")
         if type(given) is bytes:
-            object.__setattr__(self, "_bytes", given)
             absent = _BYTE_IDS.translate(None, given)
             n = 256 - len(absent)
             if absent != _BYTE_IDS[n:]:
                 raise _not_dense(n, absent[0])
         else:
+            given = None
             ids = set(letters)
             n = len(ids)
             if ids != set(range(n)):
                 raise _not_dense(n, min(set(range(n)) - ids))
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_bytes", given)
         object.__setattr__(self, "_alphabet_size", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(letters={self.letters!r})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which sets the slots that `__setattr__` refuses.
+        return self.__class__, (self._bytes or self.letters,)
 
     @property
     def length(self) -> int:

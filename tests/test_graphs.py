@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from wordgraphs.graphs import (
@@ -71,6 +73,28 @@ class TestDigraph:
     def test_letter_labeled_needs_symbol_ids(self):
         with pytest.raises(InvalidGraphError):
             letter_labeled(Digraph({"a"}, frozenset()))
+
+    def test_attributes_cannot_change(self):
+        g = Digraph({0, 1}, {(0, 1)})
+        for name in ("vertices", "edges", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g.vertices == frozenset({0, 1}) and g.edges == frozenset({(0, 1)})
+
+    def test_value_semantics(self):
+        g = Digraph({0, 1}, {(0, 1)})
+        assert g == Digraph([0, 1], [[0, 1]]) and g != Digraph({0, 1}, {(1, 0)})
+        assert g != (g.vertices, g.edges) and g.__eq__(g.vertices) is NotImplemented
+        assert hash(g) == hash((frozenset({0, 1}), frozenset({(0, 1)})))
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_repr(self):
+        g = build_graph(parse_word("abca"))
+        assert repr(g) == (
+            "Digraph(vertices=frozenset({0, 1, 2}), edges=frozenset({(0, 1), (1, 2), (2, 0)}))"
+        )
 
 
 class TestDot:

@@ -138,17 +138,17 @@ class TestSynthesis:
         # One walk covers the whole graph: no component gets its own
         # `Digraph` or its own successor lists.
         calls = []
-        real_init, real_out_lists = Digraph.__post_init__, wordgraphs.graphs._out_lists
+        real_init, real_out_lists = Digraph.__init__, wordgraphs.graphs._out_lists
 
-        def counting_init(graph):
+        def counting_init(graph, vertices, edges):
             calls.append("Digraph")
-            real_init(graph)
+            real_init(graph, vertices, edges)
 
         def counting_out_lists(graph):
             calls.append("_out_lists")
             return real_out_lists(graph)
 
-        monkeypatch.setattr(Digraph, "__post_init__", counting_init)
+        monkeypatch.setattr(Digraph, "__init__", counting_init)
         for module in (wordgraphs.graphs, wordgraphs.connectivity, wordgraphs.represent):
             monkeypatch.setattr(module, "_out_lists", counting_out_lists)
         counts = []

@@ -2,7 +2,7 @@ import pytest
 
 import wordgraphs.verify
 from wordgraphs.counting import CapExceededError, CountTable
-from wordgraphs.verify import run_verification
+from wordgraphs.verify import VerificationReport, run_verification
 
 
 def test_small_run_passes():
@@ -12,6 +12,13 @@ def test_small_run_passes():
     assert any(line.startswith("check=recurrence l=6") for line in report.lines)
     assert any(line.startswith("check=family l=6") for line in report.lines)
     assert any(line.startswith("check=equivalence l=6") for line in report.lines)
+
+
+def test_reports_do_not_share_their_lists():
+    first, second = VerificationReport(), VerificationReport()
+    first.lines.append("check=x status=fail")
+    first.failures.append("check=x status=fail")
+    assert second.lines == [] and second.failures == [] and second.passed
 
 
 def test_graph_layers_run_once_per_distinct_graph(monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from wordgraphs.counting import stirling2
@@ -28,7 +30,7 @@ class TestParse:
         assert w.letters == (0, 1, 2, 0)
         assert w.length == 4
         assert w.alphabet_size == 3
-        # The stored alphabet size is not a field: only the letters compare.
+        # The stored alphabet size is not compared: only the letters are.
         assert w == Word((0, 1, 2, 0)) and hash(w) == hash(Word((0, 1, 2, 0)))
         assert repr(w) == "Word(letters=(0, 1, 2, 0))"
 
@@ -96,6 +98,41 @@ class TestWordInvariants:
     def test_empty_letters(self):
         with pytest.raises(EmptyWordError):
             Word(())
+
+
+# A word in both forms: built from a tuple, and from bytes as `parse_word` builds it.
+BOTH_FORMS = [
+    pytest.param(lambda: Word((0, 1, 0)), id="tuple"),
+    pytest.param(lambda: Word(b"\x00\x01\x00"), id="bytes"),
+]
+
+
+class TestWordValue:
+    @pytest.mark.parametrize("make", BOTH_FORMS)
+    def test_attributes_cannot_change(self, make):
+        word = make()
+        for name in ("letters", "_bytes", "_alphabet_size", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(word, name, (0,))
+            with pytest.raises(AttributeError):
+                delattr(word, name)
+        assert word.letters == (0, 1, 0) and word.alphabet_size == 2
+
+    def test_equal_only_to_words(self):
+        assert Word((0, 1)) != (0, 1)
+        assert (0, 1) != Word((0, 1))
+        assert Word((0, 1)).__eq__((0, 1)) is NotImplemented
+
+    def test_both_forms_hash_alike(self):
+        tuple_form, byte_form = Word((0, 1, 0)), Word(b"\x00\x01\x00")
+        assert hash(tuple_form) == hash(byte_form) == hash(((0, 1, 0),))
+        assert len({tuple_form, byte_form}) == 1
+
+    @pytest.mark.parametrize("make", BOTH_FORMS)
+    def test_pickle_keeps_the_form(self, make):
+        word = make()
+        copy = pickle.loads(pickle.dumps(word))
+        assert copy == word and copy._bytes == word._bytes and copy.alphabet_size == 2
 
 
 class TestCanonicalize:
