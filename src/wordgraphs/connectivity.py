@@ -16,8 +16,6 @@ each can check the other.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .graphs import Digraph, _multigraph, _out_lists
 from .words import _Frozen
 
@@ -32,13 +30,10 @@ def _require_vertices(graph: Digraph) -> None:
 
 
 class SccDecomposition(_Frozen):
-    """Maximal strongly connected components, listed in topological order."""
+    """Maximal strongly connected components, listed in topological order;
+    value methods from `_Frozen`, unhashable for its `component_index` dict."""
 
     __slots__ = ("components", "component_index")
-
-    def __init__(self, components: tuple[frozenset, ...], component_index: Mapping) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_index", component_index)
 
     @property
     def count(self) -> int:
@@ -267,23 +262,13 @@ class Condensation(_Frozen):
     """Quotient of a digraph by its strong components.
 
     Component indices follow the topological order of the decomposition.
-    `internal[i]` holds the original edges inside component i, and
-    `crossing` maps each quotient edge (i, j) to the original edges behind
-    it, so its keys are the quotient's edges, each with i < j, and the size
-    of each entry is that edge's multiplicity.
-    """
+    `internal[i]` holds the original edges inside component i, and `crossing`
+    maps each quotient edge (i, j) to the original edges behind it, so its
+    keys are the quotient's edges, each with i < j, and the size of each entry
+    is that edge's multiplicity.  Value methods come from `_Frozen`; the
+    `crossing` dict leaves it unhashable."""
 
     __slots__ = ("components", "internal", "crossing")
-
-    def __init__(
-        self,
-        components: tuple[frozenset, ...],
-        internal: tuple[frozenset, ...],
-        crossing: Mapping[tuple[int, int], frozenset],
-    ) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "internal", internal)
-        object.__setattr__(self, "crossing", crossing)
 
 
 def condensation(graph: Digraph) -> Condensation:

@@ -7,7 +7,6 @@ because the graph is simple, and identical pairs ("aa") contribute nothing.
 
 from __future__ import annotations
 
-import re
 import sys
 
 from .words import Word, _Frozen, symbol_name
@@ -20,10 +19,10 @@ class InvalidGraphError(ValueError):
 class Digraph(_Frozen):
     """An immutable simple digraph without self-loops.
 
-    `vertices` and `edges` are frozensets, and equality, hashing and repr
-    read both.  Vertices carry mutually orderable hashable labels (symbol ids
-    for word graphs, strings read from JSON), so traversals order them by
-    `sorted`; the underlying undirected multigraph is held as multiplicities.
+    `vertices` and `edges` are frozensets, the fields whose value methods
+    come from `_Frozen`.  Vertices carry mutually orderable hashable labels
+    (symbol ids for word graphs, strings read from JSON), so traversals order
+    them by `sorted`; the undirected multigraph is held as multiplicities.
     """
 
     __slots__ = ("vertices", "edges")
@@ -45,20 +44,6 @@ class Digraph(_Frozen):
                 raise InvalidGraphError(f"edge {e!r} uses an unknown vertex")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.vertices, self.edges)
 
 
 def build_graph(word: Word) -> Digraph:
@@ -119,13 +104,13 @@ def _multigraph(graph: Digraph) -> dict:
     return adj
 
 
-_DOT_BARE_ID = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def _dot_id(label) -> str:
     text = str(label)
-    if re.fullmatch(_DOT_BARE_ID, text) and text.lower() not in _DOT_KEYWORDS:
+    ascii_id = text.isascii() and (text.isidentifier() or text.isdecimal())
+    if ascii_id and text.lower() not in _DOT_KEYWORDS:
         return text
     return '"' + text.replace('"', '\\"') + '"'
 
@@ -141,26 +126,30 @@ def to_dot(graph: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_labels(labels: list[str]) -> None:
+    """Non-empty, printable and comma-free: a walk prints on one line and reads back."""
+    if any(v == "" or "," in v or not v.isprintable() for v in labels):
+        raise InvalidGraphError("vertex labels must be non-empty, printable and contain no ','")
+
+
 def to_json(graph: Digraph) -> str:
     """Render as the compact JSON interchange form with sorted string labels.
 
-    Round-trips exactly through from_json when the labels are strings.
+    Labels that from_json would reject raise InvalidGraphError, so the output
+    always reads back, and round-trips exactly when the labels are strings.
     """
     import json  # here, not at the top: most commands never serialize
 
     vertices = sorted(str(v) for v in graph.vertices)
     if len(set(vertices)) != len(vertices):
         raise InvalidGraphError("labels collide when rendered as strings")
+    _check_labels(vertices)
     edges = sorted([str(u), str(v)] for u, v in graph.edges)
     return json.dumps({"vertices": vertices, "edges": edges}, separators=(",", ":"))
 
 
 def from_json(text: str) -> Digraph:
-    """Parse the JSON interchange form, rejecting malformed documents.
-
-    Labels must be non-empty, printable and free of ',' so that a walk
-    prints on one line and a comma-joined walk reads back unambiguously.
-    """
+    """Parse the JSON interchange form, rejecting malformed documents."""
     import json
 
     try:
@@ -174,8 +163,7 @@ def from_json(text: str) -> Digraph:
     edges = doc["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InvalidGraphError("vertices must be an array of strings")
-    if any(v == "" or "," in v or not v.isprintable() for v in vertices):
-        raise InvalidGraphError("vertex labels must be non-empty, printable and contain no ','")
+    _check_labels(vertices)
     if len(set(vertices)) != len(vertices):
         raise InvalidGraphError("duplicate vertex")
     if not isinstance(edges, list):

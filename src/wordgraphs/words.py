@@ -42,10 +42,38 @@ _BYTE_IDS = bytes(range(256))
 
 
 class _Frozen:
-    """Base of the immutable values: assigning or deleting an attribute raises
-    AttributeError, so constructors set their slots with `object.__setattr__`."""
+    """Base of the immutable values: `==`, `hash`, the `Class(field=value, ...)`
+    repr and pickling read the fields, the slots named without a leading `_`,
+    and the default constructor takes one value per slot, in order.  Setting or
+    deleting an attribute raises AttributeError, so constructors use
+    `object.__setattr__`."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes {', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which sets the slots that `__setattr__` refuses.
+        return self.__class__, tuple(self._fields().values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,9 +85,9 @@ class _Frozen:
 class Word(_Frozen):
     """An immutable symbol sequence over an exact alphabet.
 
-    `letters` is always a tuple of ints, and equality, hashing and repr read
-    only it.  Given as `bytes`, the word also keeps them as `_bytes`, which
-    the letter layers scan in C; given as a tuple, `_bytes` is None.
+    `letters` is always a tuple of ints, the one field `_Frozen`'s value methods
+    read.  Given as `bytes`, the word also keeps them as `_bytes`, which the
+    letter layers scan in C and pickling keeps; given a tuple, `_bytes` is None.
     """
 
     __slots__ = ("letters", "_bytes", "_alphabet_size")
@@ -84,19 +112,7 @@ class Word(_Frozen):
         object.__setattr__(self, "_bytes", given)
         object.__setattr__(self, "_alphabet_size", n)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(letters={self.letters!r})"
-
     def __reduce__(self):
-        # Rebuilt through the constructor, which sets the slots that `__setattr__` refuses.
         return self.__class__, (self._bytes or self.letters,)
 
     @property

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -302,3 +304,59 @@ class TestCondensation:
             c = condensation(g)
             for i, j in c.crossing:
                 assert i < j
+
+
+# ---- value semantics of the decomposition and the condensation ----
+
+ABCB = build_graph(parse_word("abcb"))
+CLONES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestValueClasses:
+    """Both are values of their fields: equal, copied and pickled by them,
+    shown as `Class(field=value, ...)`, immutable, and built positionally."""
+
+    @pytest.fixture(params=[scc_decomposition, condensation])
+    def value(self, request):
+        return request.param(ABCB)
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_clones_are_equal(self, value, clone):
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value
+
+    def test_equals_its_rebuild_from_fields(self, value):
+        fields = tuple(getattr(value, name) for name in type(value).__slots__)
+        assert type(value)(*fields) == value
+        assert value != fields and value.__eq__(fields) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(value)  # a dict field leaves it unhashable
+
+    def test_repr_is_the_field_form(self):
+        assert repr(scc_decomposition(ABCB)) == (
+            "SccDecomposition(components=(frozenset({0}), frozenset({1, 2})), "
+            "component_index={0: 0, 1: 1, 2: 1})"
+        )
+        assert repr(condensation(ABCB)) == (
+            "Condensation(components=(frozenset({0}), frozenset({1, 2})), "
+            "internal=(frozenset(), frozenset({(1, 2), (2, 1)})), "
+            "crossing={(0, 1): frozenset({(0, 1)})})"
+        )
+
+    def test_fields_cannot_be_assigned_or_deleted(self, value):
+        for name in [*type(value).__slots__, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_wrong_number_of_values_names_the_fields(self, value):
+        names = type(value).__slots__
+        fields = tuple(getattr(value, name) for name in names)
+        for values in [fields[:-1], fields + (None,)]:
+            with pytest.raises(TypeError, match=", ".join(names)):
+                type(value)(*values)

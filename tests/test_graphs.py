@@ -147,6 +147,20 @@ class TestJson:
                     assert from_json(to_json(g)) == g
 
     @pytest.mark.parametrize(
+        "graph",
+        [
+            Digraph({"a,b", "c"}, {("a,b", "c")}),
+            Digraph({"", "c"}, frozenset()),
+            Digraph({"a\nb", "c"}, {("c", "a\nb")}),
+            Digraph({"a\tb"}, frozenset()),
+        ],
+        ids=["comma", "empty", "newline", "tab"],
+    )
+    def test_labels_that_would_not_read_back_are_refused(self, graph):
+        with pytest.raises(InvalidGraphError, match="non-empty, printable"):
+            to_json(graph)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "not json",

@@ -6,16 +6,23 @@ A name dropped from a module but left in `__all__` breaks
 of `__all__` is public surface nobody declared.  Both fail here.  Every CLI
 command starts a fresh interpreter, so a module that imports `dataclasses`,
 `typing` or, at module level, `json` adds milliseconds to every command:
-that fails here too, naming the file and line.
+that fails here too, naming the file and line.  Every immutable value
+class must pickle and copy, and a new one without a sample here fails.
 """
 
 import ast
+import copy
+import importlib
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
 
+import pytest
+
 import wordgraphs
+from wordgraphs.words import _Frozen
 
 
 def test_every_exported_name_resolves_once():
@@ -107,3 +114,45 @@ def test_import_loads_no_costly_module():
     assert package == "[]"
     assert cli == "[]"
     assert serialized == "['json']"
+
+
+# One sample per `_Frozen` subclass, by qualified name.
+ABCB = wordgraphs.build_graph(wordgraphs.parse_word("abcb"))
+SAMPLES = {
+    "words.Word": [wordgraphs.Word((0, 1, 0)), wordgraphs.parse_word("aba")],
+    "graphs.Digraph": [ABCB, wordgraphs.letter_labeled(ABCB)],
+    "connectivity.SccDecomposition": [wordgraphs.scc_decomposition(ABCB)],
+    "connectivity.Condensation": [wordgraphs.condensation(ABCB)],
+}
+
+
+def frozen_classes():
+    """Every subclass of `_Frozen`, at any depth, once every module is loaded."""
+    for path in SOURCES:
+        if path.stem not in ("__init__", "__main__"):  # __main__ would run the CLI
+            importlib.import_module(f"wordgraphs.{path.stem}")
+    found, todo = [], [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+CLONES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_every_frozen_class_round_trips_and_stays_frozen(clone):
+    names = {f"{c.__module__.rpartition('.')[2]}.{c.__qualname__}" for c in frozen_classes()}
+    assert names == SAMPLES.keys(), "each _Frozen subclass needs a sample here"
+    for sample in (value for values in SAMPLES.values() for value in values):
+        twin = clone(sample)
+        assert type(twin) is type(sample) and twin == sample, sample
+        assert repr(twin) == repr(sample)
+        with pytest.raises(AttributeError):
+            setattr(twin, type(twin).__slots__[0], None)
