@@ -47,7 +47,6 @@ from .words import (
     Word,
     iter_canonical_words,
     parse_word,
-    symbol_name,
 )
 
 __version__ = "0.1.0"
@@ -90,5 +89,4 @@ __all__ = [
     "Word",
     "iter_canonical_words",
     "parse_word",
-    "symbol_name",
 ]

@@ -29,7 +29,7 @@ from .factorization import _factor_slices
 from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
-from .words import Word, letters_text, parse_word, symbol_name
+from .words import _LOWERCASE, Word, letters_text, parse_word
 
 
 @functools.cache
@@ -114,7 +114,7 @@ def _cmd_check(args) -> int:
     n = word.alphabet_size
     # Ids follow first occurrence, so each factor's ids lie below the next's.
     bridge_text = ";".join(
-        f"{symbol_name(f[-1], n)}->{symbol_name(g[0], n)}"
+        f"{letters_text(f[-1:], n)}->{letters_text(g[:1], n)}"
         for f, g in zip(factors, factors[1:])
     )
     print(f"word={word.text()}")
@@ -195,10 +195,8 @@ def _cmd_represent(args) -> int:
     except NotRepresentableError:
         print("not representable")
         return 1
-    if all(len(label) == 1 for label in walk):
-        print("".join(walk))
-    else:
-        print(",".join(walk))
+    # Lowercase letters run together, as `parse_word` reads them; other labels take commas.
+    print(("" if set(walk).issubset(_LOWERCASE) else ",").join(walk))
     return 0
 
 

@@ -176,17 +176,19 @@ class CountTable:
         """(length, alphabet, stirling, strong partitions, strong words) per pair."""
         if max_length < 1 or max_alphabet < 1:
             raise ValueError("bounds must be at least 1")
+        m = min(max_length, max_alphabet)
+        # The scan's columns hold the base cases and the seeds.  A refill
+        # replaces `_strong` and Stirling columns only grow, so the cells
+        # are read outside the lock.
         with self._lock:
-            self._fill_strong(max_length, min(max_length, max_alphabet))
+            self._grow_stirling(max_length, m)
+            self._fill_strong(max_length, m)
+            stirling, strong = self._stirling, self._strong
+        factorials = [math.factorial(n) for n in range(m + 1)]
         for length in range(1, max_length + 1):
-            for n in range(1, min(length, max_alphabet) + 1):
-                yield (
-                    length,
-                    n,
-                    self.stirling2(length, n),
-                    self.strong_partition_count(length, n),
-                    self.strong_word_count(length, n),
-                )
+            for n in range(1, min(length, m) + 1):
+                t = strong[n][length]
+                yield length, n, stirling[n][length], t, factorials[n] * t
 
 
 _SHARED = CountTable()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .words import Word, _Frozen, symbol_name
+from .words import Word, _Frozen, letters_text
 
 
 class InvalidGraphError(ValueError):
@@ -78,7 +78,7 @@ def letter_labeled(graph: Digraph) -> Digraph:
     n = len(graph.vertices)
     if graph.vertices != frozenset(range(n)):
         raise InvalidGraphError("expected dense integer symbol ids")
-    name = {v: symbol_name(v, n) for v in graph.vertices}
+    name = {v: letters_text((v,), n) for v in graph.vertices}
     return Digraph(
         frozenset(name.values()),
         frozenset((name[u], name[v]) for u, v in graph.edges),

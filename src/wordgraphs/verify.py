@@ -29,21 +29,18 @@ class VerificationReport:
 
     __slots__ = ("lines", "failures")
 
-    def __init__(self, lines: list[str] | None = None, failures: list[str] | None = None) -> None:
-        # A fresh list per report: a shared default would collect every run's lines.
-        self.lines = [] if lines is None else lines
-        self.failures = [] if failures is None else failures
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-# Each check yields (text, status) pairs.  The runner stops at the first
-# FAIL and never resumes that check, so a check need not return after one.
-OK = "ok"
-FAIL = "fail"
-Check = Iterator[tuple[str, str]]
+# Each check yields (text, passed) pairs.  The runner stops at the first
+# failure and never resumes that check, so a check need not return after one.
+Check = Iterator[tuple[str, bool]]
 
 
 def _family_count_by_inclusion_exclusion(length: int, alphabet_size: int) -> int:
@@ -91,7 +88,7 @@ def _verify_recurrence(
         enumerated = brute_force_strong_count(length, n, cap=None)
         expected, scan = recurrence[n][length], table.strong_partition_count(length, n)
         text = f"{label} recurrence={expected} scan={scan} enumerated={enumerated}"
-        yield text, OK if expected == scan == enumerated else FAIL
+        yield text, expected == scan == enumerated
 
 
 def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
@@ -99,7 +96,7 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         expected = table.family_cardinality(length, n)
         actual = _family_count_by_inclusion_exclusion(length, n)
         text = f"check=family l={length} n={n} formula={expected} enumerated={actual}"
-        yield text, OK if expected == actual else FAIL
+        yield text, expected == actual
 
 
 def _verify_words(
@@ -131,27 +128,27 @@ def _verify_words(
                 bridge_count = len(bridges(graph))
                 strong, two_edge_connected = components == 1, cut is None or cut >= 2
                 if cut == 0:
-                    yield f"{label} word={word.text()} detail=weakly-disconnected", FAIL
+                    yield f"{label} word={word.text()} detail=weakly-disconnected", False
                 if not (strong == two_edge_connected == (k == 1)):
                     detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
-                    yield f"{label} word={word.text()} detail={detail}", FAIL
+                    yield f"{label} word={word.text()} detail={detail}", False
                 if bridge_count != k - 1:
                     detail = f"bridges:{bridge_count},factors:{k}"
-                    yield f"{label} word={word.text()} detail={detail}", FAIL
+                    yield f"{label} word={word.text()} detail={detail}", False
             if components != k:
                 detail = f"components:{components},factors:{k}"
-                yield f"{label} word={word.text()} detail={detail}", FAIL
+                yield f"{label} word={word.text()} detail={detail}", False
             histogram[components] = histogram.get(components, 0) + 1
         total, stirling = sum(histogram.values()), table.stirling2(length, n)
         words += total
         if total != stirling:
-            yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", FAIL
+            yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", False
         strong_bucket, expected = histogram.get(1, 0), table.strong_partition_count(length, n)
         if strong_bucket != expected:
             text = f"check=histogram l={length} n={n} strong={strong_bucket} scan={expected}"
-            yield text, FAIL
-    yield f"{label} words={words} cut=exact", OK
-    yield f"check=histogram l={length}", OK
+            yield text, False
+    yield f"{label} words={words} cut=exact", True
+    yield f"check=histogram l={length}", True
 
 
 def run_verification(
@@ -189,10 +186,10 @@ def run_verification(
             _verify_words(length, max_alphabet, table, known),
         )
         for check in checks:
-            for text, status in check:
-                line = f"{text} status={status}"
+            for text, passed in check:
+                line = f"{text} status={'ok' if passed else 'fail'}"
                 report.lines.append(line)
-                if status == FAIL:
+                if not passed:
                     report.failures.append(line)
                     return report
     return report

@@ -136,13 +136,6 @@ def _not_dense(n: int, missing: int) -> InvalidWordError:
     return InvalidWordError(f"symbol ids must be exactly 0..{n - 1}, but {missing} is missing")
 
 
-def symbol_name(symbol: int, alphabet_size: int) -> str:
-    """Text for one symbol id: 'a'..'z' for small alphabets, decimal otherwise."""
-    if alphabet_size <= 26:
-        return chr(ord("a") + symbol)
-    return str(symbol)
-
-
 # Byte i becomes the letter of symbol i, so short alphabets render in C.
 _LETTER_TABLE = bytes.maketrans(_BYTE_IDS[:26], _LOWERCASE.encode("ascii"))
 

@@ -314,3 +314,26 @@ class TestCountTable:
         rows = list(table.rows(5, 3))
         assert len(rows) == 12
         assert rows[-1] == (5, 3, 25, 9, 54)
+
+    def test_rows_yield_a_seeded_cell(self):
+        # One seed before the fill and one after it; both read back through rows.
+        table = CountTable()
+        table.seed_strong_count(5, 2, 7)
+        assert (5, 2, 15, 7, 14) in table.rows(6, 3)
+        table.seed_strong_count(6, 3, 11)
+        rows = {row[:2]: row for row in table.rows(6, 3)}
+        assert rows[5, 2] == (5, 2, 15, 7, 14)
+        assert rows[6, 3] == (6, 3, 90, 11, 66)
+        assert rows[6, 2] == (6, 2, 31, strong_partition_count(6, 2), strong_word_count(6, 2))
+
+    @pytest.mark.parametrize("filled", [None, (60, 30), (80, 2)])
+    def test_rows_match_the_cell_methods(self, filled):
+        table = CountTable()
+        if filled:
+            table.strong_partition_count(*filled)
+        expected = [
+            (l, n, stirling2(l, n), strong_partition_count(l, n), strong_word_count(l, n))
+            for l in range(1, 31)
+            for n in range(1, min(l, 12) + 1)
+        ]
+        assert list(table.rows(30, 12)) == expected
