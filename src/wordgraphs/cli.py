@@ -244,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # Raised with no message; the objects it unwound are freed, so printing works.
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

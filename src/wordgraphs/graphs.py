@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .words import Word, _Frozen, letters_text
+from .words import _BYTE_IDS, Word, _Frozen, letters_text
 
 
 class InvalidGraphError(ValueError):
@@ -54,23 +54,55 @@ def build_graph(word: Word) -> Digraph:
         # Collapse repeats in C first, so self-loops are dropped once per distinct pair.
         pairs = set(zip(letters, letters[1:]))
     else:
-        pairs = _byte_pairs(letters)
+        pairs = _byte_pairs(letters, word.alphabet_size)
     edges = frozenset(pair for pair in pairs if pair[0] != pair[1])
     return Digraph(frozenset(range(word.alphabet_size)), edges)
 
 
-def _byte_pairs(letters: bytes):
-    """The distinct adjacent pairs of a byte word, collapsed in C.
+# Symbols per group of `_byte_pairs`' passes: a member's index plus one fits a nibble.
+_GROUP = 15
 
-    Each pair is one 16-bit lane of two interleaved copies, its first letter
-    in the lane's high byte, so one set of lanes collapses the repeats and
-    each lane reads 256 * first + second in either native byte order.
+
+def _byte_pairs(letters: bytes, alphabet_size: int):
+    """The distinct adjacent pairs of a byte word, found in C.
+
+    Up to 30 symbols, in groups of 15: for each pair of groups, `_group_codes`
+    writes each first letter from one group as its index plus one in a high
+    nibble, each second letter from the other in a low nibble, and 0 for the
+    rest, so OR-ing the two integers gives one byte per adjacent pair.  Two
+    `translate` calls list the bytes present, and those with both nibbles set
+    are pairs: at most 4 passes, each in C.  The passes grow as the square
+    of the groups, so past 30 symbols each pair is one 16-bit lane of two
+    interleaved copies, its first letter in the lane's high byte: one set of
+    lanes collapses the repeats, and each lane reads 256 * first + second in
+    either native byte order.
     """
-    high = 1 if sys.byteorder == "little" else 0
-    lanes = bytearray(2 * len(letters) - 2)
-    lanes[high::2] = letters[:-1]
-    lanes[1 - high :: 2] = letters[1:]
-    return (divmod(lane, 256) for lane in set(memoryview(lanes).cast("H")))
+    if alphabet_size > 2 * _GROUP:
+        high = 1 if sys.byteorder == "little" else 0
+        lanes = bytearray(2 * len(letters) - 2)
+        lanes[high::2] = letters[:-1]
+        lanes[1 - high :: 2] = letters[1:]
+        yield from (divmod(lane, 256) for lane in set(memoryview(lanes).cast("H")))
+        return
+    starts = range(0, alphabet_size, _GROUP)
+    firsts, seconds = letters[:-1], letters[1:]
+    heads = {g: _group_codes(firsts, g, alphabet_size, 16) for g in starts}
+    tails = {h: _group_codes(seconds, h, alphabet_size, 1) for h in starts}
+    for g, head in heads.items():
+        for h, tail in tails.items():
+            codes = (head | tail).to_bytes(len(letters) - 1, "big")
+            for code in _BYTE_IDS.translate(None, _BYTE_IDS.translate(None, codes)):
+                if code > 15 and code & 15:
+                    yield g + (code >> 4) - 1, h + (code & 15) - 1
+
+
+def _group_codes(letters: bytes, first: int, alphabet_size: int, scale: int) -> int:
+    """`letters` read as a big-endian integer after each symbol `first + i` of
+    the group of up to 15 at `first` becomes the byte (i + 1) * scale, and
+    every other symbol 0."""
+    count = min(_GROUP, alphabet_size - first)
+    table = bytes(first) + bytes(range(scale, scale * (count + 1), scale))
+    return int.from_bytes(letters.translate(table.ljust(256, b"\0")), "big")
 
 
 def letter_labeled(graph: Digraph) -> Digraph:

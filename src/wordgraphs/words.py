@@ -10,13 +10,15 @@ Canonical words are the set partitions of the positions, symbol i naming
 the block of positions where it occurs, so canonical enumeration is
 partition enumeration.
 
-A word built from `bytes`, one byte per letter, also keeps those bytes.
-`parse_word` builds that form whenever the alphabet fits in a byte, and
-`split_points` and `build_graph` then scan the bytes with C builtins:
-`split_points` calls `find` and `rfind` once per symbol, and `build_graph`
-collapses 16-bit pair codes in one set.  Words built from a tuple, such as
-the canonical words `verify` enumerates, keep the tuple scans, which cost
-less on tiny words.
+A word built from `bytes`, one byte per letter, keeps only those bytes and
+builds its letter tuple on each read of `letters`.  `parse_word` builds that
+form whenever the alphabet fits in a byte, and `split_points` and
+`build_graph` then scan the bytes with C builtins: `split_points` calls
+`find` and `rfind` once per symbol, and `build_graph` finds the distinct
+adjacent pairs of up to 30 symbols in at most 4 integer OR passes, and of
+more in one set of 16-bit pair codes.  Words built from a tuple, such as the
+canonical words `verify` enumerates, keep the tuple scans, which cost less
+on tiny words.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ _BYTE_IDS = bytes(range(256))
 class _Frozen:
     """Base of the immutable values: `==`, `hash`, the `Class(field=value, ...)`
     repr and pickling read the fields, the slots named without a leading `_`,
-    and the default constructor takes one value per slot, in order.  Setting or
-    deleting an attribute raises AttributeError, so constructors use
-    `object.__setattr__`."""
+    and the default constructor takes one value per slot, in order.  The repr
+    prints set and dict items sorted, so it depends on the value alone.
+    Setting or deleting an attribute raises AttributeError, so constructors
+    use `object.__setattr__`."""
 
     __slots__ = ()
 
@@ -68,7 +71,7 @@ class _Frozen:
         return hash(tuple(self._fields().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        fields = ", ".join(f"{name}={_value_repr(value)}" for name, value in self._fields().items())
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -82,42 +85,65 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _value_repr(value) -> str:
+    """`repr` with the items of every frozenset and dict sorted, also inside
+    tuples, so equal values print alike whatever order their sets were built in."""
+    kind = type(value)
+    if kind is frozenset and value:
+        return "frozenset({" + ", ".join(map(_value_repr, sorted(value))) + "})"
+    if kind is dict:
+        items = (f"{_value_repr(k)}: {_value_repr(v)}" for k, v in sorted(value.items()))
+        return "{" + ", ".join(items) + "}"
+    if kind is tuple:
+        return "(" + ", ".join(map(_value_repr, value)) + ("," if len(value) == 1 else "") + ")"
+    return repr(value)
+
+
 class Word(_Frozen):
     """An immutable symbol sequence over an exact alphabet.
 
-    `letters` is always a tuple of ints, the one field `_Frozen`'s value methods
-    read.  Given as `bytes`, the word also keeps them as `_bytes`, which the
-    letter layers scan in C and pickling keeps; given a tuple, `_bytes` is None.
+    `letters` is the word as a tuple of ints, the one field `_Frozen`'s value
+    methods read.  Given a tuple, the word stores it in the `letters` slot and
+    `_bytes` is None.  Given `bytes`, the word keeps only those, as `_bytes`,
+    which the letter layers scan in C and pickling keeps; its `letters` slot
+    stays empty and each read builds the tuple from the bytes.
     """
 
     __slots__ = ("letters", "_bytes", "_alphabet_size")
 
     def __init__(self, letters: tuple[int, ...] | bytes) -> None:
-        given = letters
-        letters = tuple(given)
+        if type(letters) is not bytes:
+            letters = tuple(letters)
         if not letters:
             raise EmptyWordError("word must contain at least one symbol")
-        if type(given) is bytes:
-            absent = _BYTE_IDS.translate(None, given)
+        if type(letters) is bytes:
+            absent = _BYTE_IDS.translate(None, letters)
             n = 256 - len(absent)
             if absent != _BYTE_IDS[n:]:
                 raise _not_dense(n, absent[0])
+            object.__setattr__(self, "_bytes", letters)
         else:
-            given = None
             ids = set(letters)
             n = len(ids)
             if ids != set(range(n)):
                 raise _not_dense(n, min(set(range(n)) - ids))
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_bytes", given)
+            object.__setattr__(self, "letters", letters)
+            object.__setattr__(self, "_bytes", None)
         object.__setattr__(self, "_alphabet_size", n)
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails: a byte word's empty `letters`
+        # slot, or a name the class does not have.
+        if name == "letters" and self._bytes is not None:
+            return tuple(self._bytes)
+        raise AttributeError(f"{self.__class__.__qualname__!r} object has no attribute {name!r}")
 
     def __reduce__(self):
         return self.__class__, (self._bytes or self.letters,)
 
     @property
     def length(self) -> int:
-        return len(self.letters)
+        return len(self._bytes or self.letters)
 
     @property
     def alphabet_size(self) -> int:

@@ -504,6 +504,25 @@ class TestHarnessContract:
         finally:
             os.close(write_end)
 
+    def test_out_of_memory_is_one_error_line(self):
+        # 4M two-digit tokens need about 250 MB once split, past the child's
+        # 128 MB address space; the limit is set in the child only.
+        resource = pytest.importorskip("resource")
+        limit = 128 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordgraphs", "check", "-"],
+            input=b"10," * 4_000_000 + b"11",
+            capture_output=True,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: out of memory\n"
+
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
         # String labels iterate in hash order, so every order that reaches
         # stdout must come from sorting.  Three strong components joined by

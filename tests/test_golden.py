@@ -7,10 +7,16 @@ SHA-256 digest, and the witnesses of a seeded corpus of 3,000 graphs by
 one digest.  The reports of `verify`, `check`, `build`, `table`,
 `histogram` and `count` are pinned the same way, by exit code, line count
 and digest, so the order and format of every line is kept, not only the
-fields a parser reads.
+fields a parser reads.  The whole corpus also runs in two child
+interpreters under different hash seeds, which must print the same, pinned
+bytes.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -298,3 +304,49 @@ def test_cli_output_is_pinned(argv, capsys):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert (code, captured.out.count("\n"), digest) == CLI_EXPECTED[argv]
+
+
+# Runs each argv read from stdin through `main` in this one interpreter and
+# prints a JSON list of [exit code, stdout, stderr].
+CORPUS_CHILD = """
+import contextlib, io, json, sys
+from wordgraphs.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_golden_cli_corpus_is_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """Every pinned CLI report and `represent` output, each seed in its own
+    interpreter: string labels iterate in hash order, so each seed must
+    print the pinned bytes, and the two seeds the same bytes."""
+    pinned = {**CLI_EXPECTED, **{("verify", *argv): v for argv, v in VERIFY_EXPECTED.items()}}
+    argvs = [list(argv) for argv in sorted(pinned)]
+    for name in sorted(GRAPHS):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json_form(GRAPHS[name]), encoding="utf-8")
+        argvs.append(["represent", "--input", str(path)])
+    outputs = []
+    for seed in ("2", "9"):
+        child = subprocess.run(
+            [sys.executable, "-c", CORPUS_CHILD],
+            input=json.dumps(argvs),
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert (child.returncode, child.stderr) == (0, ""), seed
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    results = json.loads(outputs[0])
+    for argv, (code, out, err) in zip(argvs, results[: len(pinned)]):
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, out.count("\n"), digest, err) == (*pinned[tuple(argv)], ""), argv
+    for name, (code, out, err) in zip(sorted(GRAPHS), results[len(pinned) :]):
+        assert (code, pin(out), err) == (0, EXPECTED[name][1], ""), name

@@ -7,7 +7,9 @@ alphabet fits in a byte.  Each is compared here, in both forms, with the
 definition it implements, written out letter by letter in this file and
 sharing no code with wordgraphs, on words up to 2,000 letters whose ids
 need not be canonical, on `check -` of 300k-letter words, and on token
-words at 255, 256 and 257 distinct ids, either side of the byte form.
+words at 255, 256 and 257 distinct ids, either side of the byte form.  The
+byte form's pair passes are also compared with the tuple form at alphabets
+either side of 15 and 30 symbols, where the passes give way to pair codes.
 """
 
 import io
@@ -18,7 +20,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wordgraphs.cli import main  # noqa: E402
 from wordgraphs.factorization import finest_disjoint_factorization, split_points  # noqa: E402
@@ -120,6 +122,39 @@ def test_byte_and_tuple_forms_are_one_word(word):
         assert split_points(form) == split_points(word)
         assert finest_disjoint_factorization(form) == finest_disjoint_factorization(word)
         assert build_graph(form) == build_graph(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 256), st.integers(0, 600), st.integers(0, 2**32 - 1))
+# Words of 1 and 2 letters, then alphabets either side of one and two groups
+# of 15 symbols and of the byte form's 256.
+@example(1, 0, 0)
+@example(1, 1, 0)
+@example(2, 0, 0)
+@example(1, 3, 1)
+@example(2, 6, 2)
+@example(15, 45, 15)
+@example(16, 48, 16)
+@example(30, 90, 30)
+@example(31, 93, 31)
+@example(255, 765, 255)
+@example(256, 768, 256)
+def test_byte_pairs_match_the_tuple_scan(alphabet_size, extra, seed):
+    """Every id once plus `extra` random ids, shuffled, so ids first occur in
+    any order; the byte form's pair passes against the tuple form's zip."""
+    rng = random.Random(seed)
+    letters = list(range(alphabet_size)) + [rng.randrange(alphabet_size) for _ in range(extra)]
+    rng.shuffle(letters)
+    letters = tuple(letters)
+    assert build_graph(Word(bytes(letters))) == build_graph(Word(letters))
+
+
+def test_a_30_symbol_word_has_every_ordered_pair():
+    # Each u, u, v adds a repeat and the pair (u, v); the seams add more pairs.
+    letters = [c for u in range(30) for v in range(30) for c in (u, u, v)]
+    graph = build_graph(Word(bytes(letters)))
+    assert graph.edges == {(u, v) for u in range(30) for v in range(30) if u != v}
+    assert graph.edges == walk_edges(letters)
 
 
 @pytest.mark.parametrize("letters", [(), (0, 2), (1, 1), (0, 1, 3, 3)])

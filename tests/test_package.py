@@ -13,6 +13,7 @@ class must pickle and copy, and a new one without a sample here fails.
 import ast
 import copy
 import importlib
+import os
 import pathlib
 import pickle
 import subprocess
@@ -156,3 +157,52 @@ def test_every_frozen_class_round_trips_and_stays_frozen(clone):
         assert repr(twin) == repr(sample)
         with pytest.raises(AttributeError):
             setattr(twin, type(twin).__slots__[0], None)
+
+
+def test_repr_is_the_same_under_every_hash_seed():
+    # String labels iterate in hash order; the repr sorts every set it prints.
+    probe = (
+        "import wordgraphs as w; "
+        "print(repr(w.letter_labeled(w.build_graph(w.parse_word('abcb')))))"
+    )
+    expected = (
+        "Digraph(vertices=frozenset({'a', 'b', 'c'}), "
+        "edges=frozenset({('a', 'b'), ('b', 'c'), ('c', 'b')}))\n"
+    )
+    for seed in ("0", "2", "9", "23"):
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.stdout == expected, seed
+
+
+PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # Under this configuration's warning filters, the report of a falsified
+    # property must not abort the session before later tests run.
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(FAILING_PROPERTY, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", str(probe)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout, result.stdout

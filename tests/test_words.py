@@ -134,6 +134,22 @@ class TestWordValue:
         copy = pickle.loads(pickle.dumps(word))
         assert copy == word and copy._bytes == word._bytes and copy.alphabet_size == 2
 
+    def test_a_parsed_byte_word_keeps_only_its_bytes(self):
+        word = parse_word("abcab" * 1000)
+        twin = Word(word.letters)
+        # The byte form leaves its `letters` slot empty; the tuple form fills it.
+        with pytest.raises(AttributeError):
+            object.__getattribute__(word, "letters")
+        assert object.__getattribute__(twin, "letters") is twin.letters
+        assert word._bytes is not None and twin._bytes is None
+        assert type(word.letters) is tuple and word.letters == twin.letters
+        assert word.length == len(word.letters) == twin.length == 5000
+        assert word == twin and hash(word) == hash(twin) and repr(word) == repr(twin)
+        copy = pickle.loads(pickle.dumps(word))
+        assert copy == twin and copy._bytes == word._bytes
+        with pytest.raises(AttributeError, match="unknown"):
+            word.unknown
+
 
 class TestCanonicalize:
     """`parse_word(w.text())` is the canonical form of every word."""
