@@ -47,7 +47,12 @@ class Digraph(_Frozen):
 
 
 def build_graph(word: Word) -> Digraph:
-    """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs."""
+    """Graph of a word: vertices are its symbols, edges its adjacent distinct pairs.
+
+    The vertices are range(alphabet_size), every pair joins two of them, and
+    the self-loops are dropped here, so the graph is built by
+    `Digraph._trusted`, without `Digraph(...)`'s checks.
+    """
     letters = word._bytes
     if letters is None:
         letters = word.letters
@@ -56,7 +61,7 @@ def build_graph(word: Word) -> Digraph:
     else:
         pairs = _byte_pairs(letters, word.alphabet_size)
     edges = frozenset(pair for pair in pairs if pair[0] != pair[1])
-    return Digraph(frozenset(range(word.alphabet_size)), edges)
+    return Digraph._trusted(frozenset(range(word.alphabet_size)), edges)
 
 
 # Symbols per group of `_byte_pairs`' passes: a member's index plus one fits a nibble.
@@ -106,12 +111,16 @@ def _group_codes(letters: bytes, first: int, alphabet_size: int, scale: int) -> 
 
 
 def letter_labeled(graph: Digraph) -> Digraph:
-    """Relabel a word graph's symbol ids with their presentation text."""
+    """Relabel a word graph's symbol ids with their presentation text.
+
+    The relabelling is one-to-one on a valid graph, so the result is valid
+    too and is built by `Digraph._trusted`, without `Digraph(...)`'s checks.
+    """
     n = len(graph.vertices)
     if graph.vertices != frozenset(range(n)):
         raise InvalidGraphError("expected dense integer symbol ids")
     name = {v: letters_text((v,), n) for v in graph.vertices}
-    return Digraph(
+    return Digraph._trusted(
         frozenset(name.values()),
         frozenset((name[u], name[v]) for u, v in graph.edges),
     )

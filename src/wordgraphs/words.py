@@ -16,9 +16,14 @@ form whenever the alphabet fits in a byte, and `split_points` and
 `build_graph` then scan the bytes with C builtins: `split_points` calls
 `find` and `rfind` once per symbol, and `build_graph` finds the distinct
 adjacent pairs of up to 30 symbols in at most 4 integer OR passes, and of
-more in one set of 16-bit pair codes.  Words built from a tuple, such as the
-canonical words `verify` enumerates, keep the tuple scans, which cost less
-on tiny words.
+more in one set of 16-bit pair codes.  Words built from a tuple keep the
+tuple scans, which cost less on tiny words.
+
+The canonical words that `verify` enumerates are tuple words whose ids are
+dense by construction, so `iter_canonical_words` builds them through
+`Word._trusted`, without the constructor's checks; the graphs `build_graph`
+makes of words are built the same way.  `Word(...)`, `Digraph(...)`,
+`parse_word` and `from_json` check everything they are given.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class _Frozen:
     and the default constructor takes one value per slot, in order.  The repr
     prints set and dict items sorted, so it depends on the value alone.
     Setting or deleting an attribute raises AttributeError, so constructors
-    use `object.__setattr__`."""
+    use `object.__setattr__`, and `_trusted` the slots' own setters."""
 
     __slots__ = ()
 
@@ -58,6 +63,18 @@ class _Frozen:
             raise TypeError(f"{self.__class__.__qualname__} takes {', '.join(self.__slots__)}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding `values`, one per slot in order, without the
+        checks of `cls(...)`: only for values that are valid by construction."""
+        self = object.__new__(cls)
+        for put, value in zip(cls._slot_setters, values):
+            put(self, value)
+        return self
+
+    def __init_subclass__(cls):
+        cls._slot_setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _fields(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
@@ -130,6 +147,16 @@ class Word(_Frozen):
             object.__setattr__(self, "letters", letters)
             object.__setattr__(self, "_bytes", None)
         object.__setattr__(self, "_alphabet_size", n)
+
+    @classmethod
+    def _trusted(cls, letters, _bytes, alphabet_size) -> Word:
+        # `_Frozen._trusted` unrolled: the canonical walk makes one word per call.
+        self = object.__new__(cls)
+        put_letters, put_bytes, put_size = cls._slot_setters
+        put_letters(self, letters)
+        put_bytes(self, _bytes)
+        put_size(self, alphabet_size)
+        return self
 
     def __getattr__(self, name: str):
         # Called only when normal lookup fails: a byte word's empty `letters`
@@ -214,27 +241,48 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
     Words appear in lexicographic order on their id sequences; the total
     equals the Stirling number of the second kind for (length, alphabet_size).
     A length below the alphabet size yields nothing.
+
+    A successor walk without recursion (restricted growth strings, in the
+    manner of Knuth's Algorithm H) steps through the prefixes of length - 2
+    letters, and two nested loops append every last pair that brings the
+    prefix's symbols to exactly `alphabet_size`.  Each prefix is built once
+    for all the words that share it, and the walk holds a constant number of
+    length-sized lists and tuples.  The words are dense by construction, so
+    they are built by `Word._trusted`, without `Word(...)`'s checks.
     """
     if length < 1 or alphabet_size < 1:
         raise ValueError("length and alphabet size must be at least 1")
     n = alphabet_size
     if length < n:
         return
+    word = Word._trusted
+    if length == 1:
+        yield word((0,), None, 1)
+        return
+    m = length - 2
     letters = [0] * length
     used = [0] * length  # used[j]: symbols among letters[: j + 1]
     i, c, u = 0, 0, 1
     while True:
-        # Set letters[i] to c, leaving u symbols used, and refill the tail with
-        # its least completion: zeros, then the unused symbols in order.
-        if i == length - 1:
-            letters[i], used[i] = c, u
-        else:
+        if m:
+            # Set letters[i] to c, leaving u symbols used, and refill the tail
+            # with its least completion: zeros, then the unused symbols in order.
             fill = length - 1 - i - (n - u)
             letters[i:] = [c] + [0] * fill + list(range(u, n))
             used[i:] = [u] * (1 + fill) + list(range(u + 1, n + 1))
-        yield Word(tuple(letters))
-        # Raise the rightmost letter that can grow and leave room for the rest.
-        for i in range(length - 1, 0, -1):
+            prefix, u = tuple(letters[:m]), used[m - 1]
+        else:
+            prefix, u = (), 0
+        # The last two letters raise the u used symbols to exactly n; v counts
+        # the symbols used once a is appended.
+        for a in range(min(u + 1, n)):
+            v = u + (a == u)
+            if v + 1 >= n:
+                head = prefix + (a,)
+                for b in range(0 if v == n else n - 1, n):
+                    yield word(head + (b,), None, n)
+        # Raise the rightmost prefix letter that can grow and leave room for the rest.
+        for i in range(m - 1, 0, -1):
             c = letters[i] + 1
             p = used[i - 1]
             u = p if p > c else c + 1

@@ -70,6 +70,14 @@ class TestDigraph:
         assert g.vertices == frozenset({"a", "b", "c"})
         assert ("c", "a") in g.edges
 
+    def test_letter_labeled_is_a_valid_graph(self):
+        for text in ("abca", "abcb", "a", "ab", "abacbcdbdceafe"):
+            g = letter_labeled(build_graph(parse_word(text)))
+            assert g == Digraph(g.vertices, g.edges)
+        wide = letter_labeled(build_graph(Word(tuple(range(30)) + (0,))))
+        assert wide == Digraph(wide.vertices, wide.edges)
+        assert ("29", "0") in wide.edges
+
     def test_letter_labeled_needs_symbol_ids(self):
         with pytest.raises(InvalidGraphError):
             letter_labeled(Digraph({"a"}, frozenset()))

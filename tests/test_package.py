@@ -120,7 +120,12 @@ def test_import_loads_no_costly_module():
 # One sample per `_Frozen` subclass, by qualified name.
 ABCB = wordgraphs.build_graph(wordgraphs.parse_word("abcb"))
 SAMPLES = {
-    "words.Word": [wordgraphs.Word((0, 1, 0)), wordgraphs.parse_word("aba")],
+    "words.Word": [
+        wordgraphs.Word((0, 1, 0)),
+        wordgraphs.parse_word("aba"),
+        # Built by the enumerator without the constructor's checks.
+        next(wordgraphs.iter_canonical_words(4, 3)),
+    ],
     "graphs.Digraph": [ABCB, wordgraphs.letter_labeled(ABCB)],
     "connectivity.SccDecomposition": [wordgraphs.scc_decomposition(ABCB)],
     "connectivity.Condensation": [wordgraphs.condensation(ABCB)],

@@ -2,7 +2,9 @@ import pytest
 
 import wordgraphs.verify
 from wordgraphs.counting import CapExceededError, CountTable
+from wordgraphs.graphs import Digraph
 from wordgraphs.verify import VerificationReport, run_verification
+from wordgraphs.words import Word
 
 
 def test_small_run_passes():
@@ -12,6 +14,25 @@ def test_small_run_passes():
     assert any(line.startswith("check=recurrence l=6") for line in report.lines)
     assert any(line.startswith("check=family l=6") for line in report.lines)
     assert any(line.startswith("check=equivalence l=6") for line in report.lines)
+
+
+def test_run_makes_no_validated_words_or_graphs(monkeypatch):
+    # Canonical words and their graphs are valid by construction, so the run
+    # builds them without the public constructors' checks.
+    calls = {}
+    for cls in (Word, Digraph):
+        real = cls.__init__
+
+        def counting(self, *args, cls=cls, real=real):
+            calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    Word((0, 1))
+    assert calls == {"Word": 1}  # the spy is in place
+    calls.clear()
+    assert run_verification(6).passed
+    assert calls == {}
 
 
 def test_reports_do_not_share_their_lists():

@@ -1,8 +1,11 @@
+import itertools
 import pickle
+import tracemalloc
 
 import pytest
 
 from wordgraphs.counting import stirling2
+from wordgraphs.graphs import Digraph, build_graph
 from wordgraphs.words import (
     EmptyWordError,
     InvalidWordError,
@@ -209,3 +212,49 @@ class TestIteration:
             list(iter_canonical_words(0, 1))
         with pytest.raises(ValueError):
             list(iter_canonical_words(3, 0))
+
+
+def restricted_growth_words(length, n):
+    """Every id tuple of `length` whose ids first occur in order and number
+    exactly n, in lexicographic order, by filtering a product.  Letter j of
+    such a tuple is at most j, so the product bounds position j by j + 1
+    choices; the filter alone decides which tuples stay."""
+    for letters in itertools.product(*(range(min(j + 1, n)) for j in range(length))):
+        top = -1
+        for c in letters:
+            if c > top + 1:
+                break
+            top = max(top, c)
+        else:
+            if top + 1 == n:
+                yield letters
+
+
+def test_enumeration_matches_a_filtered_product():
+    for length in range(1, 9):
+        for n in range(1, length + 1):
+            words = list(iter_canonical_words(length, n))
+            assert [w.letters for w in words] == list(restricted_growth_words(length, n))
+            for w in words:
+                # The enumerator skips the constructor's checks; the values
+                # it builds must be the ones the constructor would.
+                twin = Word(w.letters)
+                assert w == twin and hash(w) == hash(twin) and w.alphabet_size == n
+                for form in (w, parse_word(w.text())):
+                    g = build_graph(form)
+                    assert g == Digraph(g.vertices, g.edges)
+
+
+def test_enumeration_keeps_one_word_of_memory():
+    # The walk holds a constant number of length-sized lists and tuples; a
+    # stack of prefixes would grow as the square of the length.
+    tracemalloc.start()
+    try:
+        words = iter_canonical_words(3000, 2)
+        first, second = next(words), next(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.letters == (0,) * 2999 + (1,)
+    assert second.letters == (0,) * 2998 + (1, 0)
+    assert peak < 1_000_000
