@@ -11,7 +11,9 @@ they have none.
 
 `bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
 is a separate derivation by contraction and never consults `bridges`, so
-each can check the other.
+each can check the other.  Strong components come from one Kosaraju core,
+`_kosaraju`, which `scc_decomposition` runs on labels and
+`represent.representational_walk` on the ranks of the sorted labels.
 """
 
 from __future__ import annotations
@@ -41,15 +43,22 @@ class SccDecomposition(_Frozen):
 
 
 def scc_decomposition(graph: Digraph) -> SccDecomposition:
-    """Kosaraju's two passes, iterative, with components topologically sorted.
-
-    A depth-first search over successor lists, roots in sorted order,
-    records the order in which vertices finish.  A walk over predecessor lists
-    from the latest finisher not yet placed reaches exactly its component, a
-    source of what remains, so components come out in topological order.
-    """
+    """Kosaraju's two passes, by `_kosaraju`, with components topologically sorted."""
     _require_vertices(graph)
-    adj = _out_lists(graph)
+    return SccDecomposition(*_kosaraju(_out_lists(graph), graph.edges))
+
+
+def _kosaraju(adj: dict, edges) -> tuple[tuple[frozenset, ...], dict]:
+    """Strong components of the digraph with successor lists `adj` and edge
+    pairs `edges`, as frozensets in topological order, and a map from each
+    vertex to its component's index.  Iterative, O(V + E).
+
+    A depth-first search over `adj`, roots in its key order, records the
+    order in which vertices finish.  A walk over predecessor lists, built
+    from `edges`, from the latest finisher not yet placed reaches exactly
+    its component, a source of what remains, so components come out in
+    topological order.  With `adj` ordered, the result is deterministic.
+    """
     seen: set = set()
     finished: list = []
     for root in adj:
@@ -69,7 +78,7 @@ def scc_decomposition(graph: Digraph) -> SccDecomposition:
                 finished.append(v)
 
     predecessors: dict = {v: [] for v in adj}
-    for u, v in graph.edges:
+    for u, v in edges:
         predecessors[v].append(u)
     component_index: dict = {}
     components: list[frozenset] = []
@@ -85,7 +94,7 @@ def scc_decomposition(graph: Digraph) -> SccDecomposition:
                     component_index[u] = i
                     members.append(u)
         components.append(frozenset(members))
-    return SccDecomposition(tuple(components), component_index)
+    return tuple(components), component_index
 
 
 def strongly_connected(graph: Digraph) -> bool:

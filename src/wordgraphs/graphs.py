@@ -33,7 +33,8 @@ class Digraph(_Frozen):
             sorted(vertices)
         except TypeError as exc:
             raise InvalidGraphError(f"labels are not mutually orderable: {exc}") from exc
-        edges = frozenset(tuple(e) for e in edges)
+        # Checked in input order before freezing, so an error names the first bad edge.
+        edges = [tuple(e) for e in edges]
         for e in edges:
             if len(e) != 2:
                 raise InvalidGraphError(f"edge {e!r} is not a pair")
@@ -43,7 +44,7 @@ class Digraph(_Frozen):
             if u not in vertices or v not in vertices:
                 raise InvalidGraphError(f"edge {e!r} uses an unknown vertex")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(edges))
 
 
 def build_graph(word: Word) -> Digraph:
@@ -190,7 +191,12 @@ def to_json(graph: Digraph) -> str:
 
 
 def from_json(text: str) -> Digraph:
-    """Parse the JSON interchange form, rejecting malformed documents."""
+    """Parse the JSON interchange form, rejecting malformed documents.
+
+    Each edge is checked once, in document order, for the checks of
+    `Digraph(...)` and for duplicates, so an error names the first bad edge
+    and the graph is built by `Digraph._trusted`.
+    """
     import json
 
     try:
@@ -205,7 +211,8 @@ def from_json(text: str) -> Digraph:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InvalidGraphError("vertices must be an array of strings")
     _check_labels(vertices)
-    if len(set(vertices)) != len(vertices):
+    known = frozenset(vertices)
+    if len(known) != len(vertices):
         raise InvalidGraphError("duplicate vertex")
     if not isinstance(edges, list):
         raise InvalidGraphError("edges must be an array")
@@ -214,11 +221,17 @@ def from_json(text: str) -> Digraph:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, str) for x in e)
+            or not isinstance(e[0], str)
+            or not isinstance(e[1], str)
         ):
             raise InvalidGraphError(f"edge {e!r} is not a pair of strings")
-        pair = (e[0], e[1])
+        u, v = e
+        pair = (u, v)
         if pair in seen:
             raise InvalidGraphError(f"duplicate edge {e!r}")
+        if u == v:
+            raise InvalidGraphError(f"self-loop at {u!r}")
+        if u not in known or v not in known:
+            raise InvalidGraphError(f"edge {pair!r} uses an unknown vertex")
         seen.add(pair)
-    return Digraph(frozenset(vertices), frozenset(seen))
+    return Digraph._trusted(known, frozenset(seen))

@@ -7,13 +7,17 @@ crosses each component boundary exactly once: the condensation must be a
 simple path whose consecutive components are joined by exactly one
 original edge, and the witness is one walk in condensation order.
 Strongly connected digraphs are the one-component case.
+
+The walk runs on the ranks of the sorted labels, each edge read once and
+sorted once as an integer, with the strong components from
+`connectivity._kosaraju`, the core of `scc_decomposition`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .connectivity import condensation, strongly_connected
+from .connectivity import _kosaraju, _require_vertices, strongly_connected
 from .graphs import Digraph, _out_lists
 from .words import Word
 
@@ -41,35 +45,40 @@ def covering_walk(graph: Digraph, start, end) -> list:
 
 def _covering_walk(adj: dict, edges: list, start, end) -> list:
     """Walk start..end over `edges` in order, routing by shortest paths in `adj`."""
-
-    def shortest_path(a, b) -> list:
-        parent = {a: a}
-        queue = deque([a])
-        while b not in parent:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    queue.append(w)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        return path[::-1]
-
     walk = [start]
     covered: set = set()
 
-    def extend(path: list) -> None:
+    def reach(b) -> None:
+        # No search when the walk stands on b, and none when b is one hop
+        # away: that hop is the path a breadth-first search would return.
+        a = walk[-1]
+        if a == b:
+            return
+        if b in adj[a]:
+            path = [a, b]
+        else:
+            parent = {a: a}
+            queue = deque([a])
+            while b not in parent:
+                u = queue.popleft()
+                for w in adj[u]:
+                    if w not in parent:
+                        parent[w] = u
+                        queue.append(w)
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            path.reverse()
         covered.update(zip(path, path[1:]))
         walk.extend(path[1:])
 
     for edge in edges:
         if edge in covered:
             continue
-        extend(shortest_path(walk[-1], edge[0]))
+        reach(edge[0])
         covered.add(edge)
         walk.append(edge[1])
-    extend(shortest_path(walk[-1], end))
+    reach(end)
     return walk
 
 
@@ -77,24 +86,55 @@ def representational_walk(graph: Digraph) -> list:
     """A vertex walk whose adjacent distinct pairs are exactly the graph's edges.
 
     Covers each component's internal edges in sorted order, then its one
-    boundary edge.  Routes use internal edges only, so they stay inside the
-    component, and the walk ends at the last component's entry.
+    seam, the edge into the next component.  Routes use internal edges
+    only, so they stay inside the component, and the walk ends at the last
+    component's entry.
     """
-    cond = condensation(graph)
-    k = len(cond.components)
-    seams = [cond.crossing.get((i, i + 1), ()) for i in range(k - 1)]
-    if len(cond.crossing) != k - 1 or any(len(seam) != 1 for seam in seams):
+    labels, walk = _rank_walk(graph)
+    return [labels[i] for i in walk]
+
+
+def _rank_walk(graph: Digraph) -> tuple[list, list[int]]:
+    """The sorted vertices, and `representational_walk` over their ranks.
+
+    Rank order is label order, so one sort of the integer codes
+    rank(u) * V + rank(v) orders the edges as their labels would.  One pass
+    over the codes builds the successor lists that `_kosaraju` reads, and
+    one more files each edge as internal to its component or as the seam
+    of two consecutive ones; any other crossing edge, or a missing seam,
+    means the condensation is not a single-edge path.
+    """
+    _require_vertices(graph)
+    labels = sorted(graph.vertices)
+    n = len(labels)
+    rank = {v: i for i, v in enumerate(labels)}
+    edges = [divmod(code, n) for code in sorted([rank[u] * n + rank[v] for u, v in graph.edges])]
+    adj: dict = {i: [] for i in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+    components, index = _kosaraju(adj, edges)
+    k = len(components)
+    inside: list[list] = [[] for _ in range(k)]
+    seams: list = [None] * (k - 1)
+    for edge in edges:
+        i, j = index[edge[0]], index[edge[1]]
+        if i == j:
+            inside[i].append(edge)
+        elif j == i + 1 and seams[i] is None:
+            seams[i] = edge
+        else:
+            raise NotRepresentableError("condensation is not a single-edge path")
+    if None in seams:
         raise NotRepresentableError("condensation is not a single-edge path")
-    adj: dict = {v: [] for v in graph.vertices}
-    edges: list = []
-    for part, seam in zip(cond.internal, [*seams, ()]):
-        inside = sorted(part)
-        for u, v in inside:
-            adj[u].append(v)
-        edges += [*inside, *seam]
-    start = min(cond.components[0])
-    end = next(iter(seams[-1]))[1] if seams else start
-    return _covering_walk(adj, edges, start, end)
+    order: list = []
+    for part, (u, v) in zip(inside, seams):
+        adj[u].remove(v)  # routes stay inside their component
+        order += part
+        order.append((u, v))
+    order += inside[-1]
+    start = min(components[0])
+    end = seams[-1][1] if seams else start
+    return labels, _covering_walk(adj, order, start, end)
 
 
 def synthesize_word(graph: Digraph) -> Word:
@@ -103,6 +143,4 @@ def synthesize_word(graph: Digraph) -> Word:
     When the vertices already are dense 0-based ids (every graph built from
     a word), the rebuilt graph reproduces the input exactly.
     """
-    walk = representational_walk(graph)
-    index = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    return Word(tuple(index[v] for v in walk))
+    return Word(tuple(_rank_walk(graph)[1]))

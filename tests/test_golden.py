@@ -7,9 +7,9 @@ SHA-256 digest, and the witnesses of a seeded corpus of 3,000 graphs by
 one digest.  The reports of `verify`, `check`, `build`, `table`,
 `histogram` and `count` are pinned the same way, by exit code, line count
 and digest, so the order and format of every line is kept, not only the
-fields a parser reads.  The whole corpus also runs in two child
-interpreters under different hash seeds, which must print the same, pinned
-bytes.
+fields a parser reads.  The whole corpus, with a set of error paths, also
+runs in two child interpreters under different hash seeds, which must print
+the same, pinned bytes.
 """
 
 import hashlib
@@ -321,18 +321,61 @@ print(json.dumps(results))
 """
 
 
+# Error paths, each pinned by exit code and its one stderr line, stdout empty.
+# A `represent` document is keyed by its text and read from a file.  Several
+# edges of one document are bad, and the line names the first in document order.
+ERROR_DOCS = {
+    '{"vertices":["a","b","c"],"edges":[["a","a"],["b","b"],["c","c"],["a","x"]]}': (
+        2,
+        "error: self-loop at 'a'\n",
+    ),
+    '{"vertices":["a","b","c"],"edges":[["a","x"],["a","a"],["b","b"],["c","c"]]}': (
+        2,
+        "error: edge ('a', 'x') uses an unknown vertex\n",
+    ),
+    '{"vertices":["a","b","c"],"edges":[["b","c"],["c","c"],["b","c"]]}': (
+        2,
+        "error: self-loop at 'c'\n",
+    ),
+    '{"vertices":["a","b","c"],"edges":[["b","c"],["b","c"],["c","c"]]}': (
+        2,
+        "error: duplicate edge ['b', 'c']\n",
+    ),
+    '{"vertices":[],"edges":[]}': (2, "error: graph has no vertices\n"),
+}
+ERROR_ARGVS = {
+    ("check", ",,"): (2, "error: malformed token list: empty token at position 0\n"),
+    ("check", "ab,c"): (2, "error: unsupported character ',' at position 2\n"),
+    ("verify", "--max-length", "3", "--max-alphabet", "0"): (
+        2,
+        "error: max alphabet must be at least 1\n",
+    ),
+    ("verify", "--max-length", "3", "--seed-count", "x"): (
+        2,
+        "error: --seed-count expects L:N:VALUE, three integers; got 'x'\n",
+    ),
+}
+
+
 def test_golden_cli_corpus_is_the_same_bytes_under_two_hash_seeds(tmp_path):
-    """Every pinned CLI report and `represent` output, each seed in its own
-    interpreter: string labels iterate in hash order, so each seed must
-    print the pinned bytes, and the two seeds the same bytes."""
+    """Every pinned CLI report, `represent` output and error line, each seed
+    in its own interpreter: string labels iterate in hash order, so each seed
+    must print the pinned bytes, and the two seeds the same bytes.  Under
+    both seeds a frozenset of the first document's edges iterates them in an
+    order that does not start at its first bad edge."""
     pinned = {**CLI_EXPECTED, **{("verify", *argv): v for argv, v in VERIFY_EXPECTED.items()}}
     argvs = [list(argv) for argv in sorted(pinned)]
     for name in sorted(GRAPHS):
         path = tmp_path / f"{name}.json"
         path.write_text(json_form(GRAPHS[name]), encoding="utf-8")
         argvs.append(["represent", "--input", str(path)])
+    for i, doc in enumerate(ERROR_DOCS):
+        path = tmp_path / f"error-{i}.json"
+        path.write_text(doc, encoding="utf-8")
+        argvs.append(["represent", "--input", str(path)])
+    argvs += [list(argv) for argv in ERROR_ARGVS]
     outputs = []
-    for seed in ("2", "9"):
+    for seed in ("1", "4"):
         child = subprocess.run(
             [sys.executable, "-c", CORPUS_CHILD],
             input=json.dumps(argvs),
@@ -344,9 +387,13 @@ def test_golden_cli_corpus_is_the_same_bytes_under_two_hash_seeds(tmp_path):
         assert (child.returncode, child.stderr) == (0, ""), seed
         outputs.append(child.stdout)
     assert outputs[0] == outputs[1]
-    results = json.loads(outputs[0])
-    for argv, (code, out, err) in zip(argvs, results[: len(pinned)]):
+    results = iter(json.loads(outputs[0]))
+    for argv, (code, out, err) in zip(sorted(pinned), results):
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert (code, out.count("\n"), digest, err) == (*pinned[tuple(argv)], ""), argv
-    for name, (code, out, err) in zip(sorted(GRAPHS), results[len(pinned) :]):
+        assert (code, out.count("\n"), digest, err) == (*pinned[argv], ""), argv
+    for name, (code, out, err) in zip(sorted(GRAPHS), results):
         assert (code, pin(out), err) == (0, EXPECTED[name][1], ""), name
+    errors = {**ERROR_DOCS, **ERROR_ARGVS}
+    for key, (code, out, err) in zip(errors, results):
+        assert (code, out, err) == (errors[key][0], "", errors[key][1]), key
+    assert next(results, None) is None

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import pytest
@@ -196,3 +197,36 @@ class TestJson:
     def test_malformed_documents(self, text):
         with pytest.raises(InvalidGraphError):
             from_json(text)
+
+    def test_error_names_the_first_bad_edge_in_document_order(self):
+        # A frozenset of string pairs iterates in hash order, which a check
+        # walking the frozen edges would leak into the message.
+        bad = {
+            '["a","a"]': "self-loop at 'a'",
+            '["b","b"]': "self-loop at 'b'",
+            '["c","c"]': "self-loop at 'c'",
+            '["a","x"]': r"edge \('a', 'x'\) uses an unknown vertex",
+        }
+        for order in itertools.permutations(bad):
+            text = '{"vertices":["a","b","c"],"edges":[["a","b"],' + ",".join(order) + "]}"
+            with pytest.raises(InvalidGraphError, match=f"^{bad[order[0]]}$"):
+                from_json(text)
+
+    def test_builds_without_the_digraph_constructor(self, monkeypatch):
+        # Every check runs once, in `from_json`'s own pass over the document.
+        calls = []
+        monkeypatch.setattr(Digraph, "__init__", lambda *args: calls.append(args))
+        g = from_json('{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"],["c","a"]]}')
+        assert calls == []
+        assert type(g) is Digraph
+        assert g.vertices == frozenset("abc")
+        assert g.edges == frozenset({("a", "b"), ("b", "c"), ("c", "a")})
+
+
+def test_digraph_checks_edges_in_input_order():
+    bad = [("a", "a"), ("b", "b"), ("c", "c"), ("a", "x")]
+    messages = ["self-loop at 'a'", "self-loop at 'b'", "self-loop at 'c'", r"edge \('a', 'x'\)"]
+    for order in itertools.permutations(range(4)):
+        edges = [("a", "b"), *(bad[i] for i in order)]
+        with pytest.raises(InvalidGraphError, match=f"^{messages[order[0]]}"):
+            Digraph({"a", "b", "c"}, edges)

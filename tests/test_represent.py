@@ -161,16 +161,17 @@ class TestSynthesis:
         assert counts[0] == counts[1]
 
     def test_one_scc_decomposition_in_total(self, monkeypatch):
-        # The condensation already shows every component strong, so the walk
-        # must not decompose the graph or any component again.
-        real = wordgraphs.connectivity.scc_decomposition
+        # One Kosaraju pass already shows every component strong, so the walk
+        # must not decompose the graph or any component again, by any route.
+        real = wordgraphs.connectivity._kosaraju
         calls = []
 
-        def counting(graph):
-            calls.append(graph)
-            return real(graph)
+        def counting(adj, edges):
+            calls.append(adj)
+            return real(adj, edges)
 
-        monkeypatch.setattr("wordgraphs.connectivity.scc_decomposition", counting)
+        for module in (wordgraphs.connectivity, wordgraphs.represent):
+            monkeypatch.setattr(module, "_kosaraju", counting)
         g = chain_graph(50)
         assert walk_edges(representational_walk(g)) == g.edges
         assert len(calls) == 1
