@@ -109,8 +109,9 @@ def _cmd_check(args) -> int:
     factors = _factor_slices(word, word._bytes or word.letters)
     strong = len(factors) == 1
     # One factor per strong component, and each seam between factors is a
-    # bridge of a weakly connected graph: lambda is 1 unless the word is strong.
-    cut = edge_connectivity(build_graph(word)) if strong else 1
+    # bridge of a weakly connected graph: lambda is 1 unless the word is
+    # strong, and at least 2 when it is, since a strong graph has no bridge.
+    cut = edge_connectivity(build_graph(word), at_least=2) if strong else 1
     n = word.alphabet_size
     # Ids follow first occurrence, so each factor's ids lie below the next's.
     bridge_text = ";".join(

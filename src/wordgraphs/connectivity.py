@@ -12,8 +12,8 @@ they have none.
 `bridges` is one low-link depth-first search, O(V + E).  `edge_connectivity`
 is a separate derivation by contraction and never consults `bridges`, so
 each can check the other.  Strong components come from one Kosaraju core,
-`_kosaraju`, which `scc_decomposition` runs on labels and
-`represent.representational_walk` on the ranks of the sorted labels.
+`_kosaraju`, which `scc_decomposition` runs on labels and both walks in
+`represent` on the ranks of the sorted labels.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def bridges(graph: Digraph) -> list[tuple]:
     return sorted(out)
 
 
-def edge_connectivity(graph: Digraph) -> int | None:
+def edge_connectivity(graph: Digraph, *, at_least: int = 1) -> int | None:
     """Minimum deletions disconnecting the underlying multigraph; None for one vertex.
 
     Zero for a weakly disconnected graph.  Otherwise `best`, the least cut
@@ -168,8 +168,13 @@ def edge_connectivity(graph: Digraph) -> int | None:
     degree.  First pairs that pass the Padberg–Rinaldi test are merged, which
     collapses every cycle; then maximum-adjacency contraction (Nagamochi &
     Ibaraki 1992) merges, in each phase, at least one pair that no cut below
-    `best` separates, until one vertex is left or `best` is 1.  So the cost
-    is O(phases * E log V) with phases <= V - 1.
+    `best` separates, until one vertex is left or `best` reaches `at_least`.
+    So the cost is O(phases * E log V) with phases <= V - 1.
+
+    `at_least` is a lower bound on the cut that the caller has proved for a
+    weakly connected graph of two or more vertices; 1 holds for all of them.
+    A strongly connected graph has no bridge, so 2 holds for it, and a
+    minimum multidegree of 2 is then the answer without any phase.
     """
     _require_vertices(graph)
     if len(graph.vertices) == 1:
@@ -178,7 +183,7 @@ def edge_connectivity(graph: Digraph) -> int | None:
     if not _connected(adj):
         return 0
     best = _contract_tight_pairs(adj)
-    while best > 1 and len(adj) > 1:
+    while best > at_least and len(adj) > 1:
         best = _contraction_phase(adj, best)
     return best
 

@@ -123,6 +123,7 @@ def _verify_words(
             if components is None:
                 graph = build_graph(word)
                 # The exact minimum cut: 0 when weakly disconnected, None for one vertex.
+                # No bound from strongness, which this cut is checked against.
                 cut = edge_connectivity(graph)
                 components_of[key] = components = scc_decomposition(graph).count
                 bridge_count = len(bridges(graph))

@@ -125,9 +125,9 @@ class TestCheck:
         def spy(module, name):
             real = getattr(module, name)
 
-            def counting(*args):
+            def counting(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
 
@@ -146,6 +146,23 @@ class TestCheck:
             assert calls == counts, word
         # The last word, aa, has one symbol.
         assert "lambda=n/a" in out.splitlines()
+
+    def test_strong_word_of_least_degree_2_runs_no_contraction_phase(self, capsys, monkeypatch):
+        # A strong graph has no bridge, so lambda is at least 2; a symbol with
+        # two incident edges (here the first, which occurs only at both ends)
+        # then settles it without a maximum-adjacency phase.
+        phases = []
+        real = wordgraphs.connectivity._contraction_phase
+
+        def counting(adj, best):
+            phases.append(best)
+            return real(adj, best)
+
+        monkeypatch.setattr(wordgraphs.connectivity, "_contraction_phase", counting)
+        code, out, err = run(capsys, "check", "abcdefghegehcbebheefhhbgedghcfbdbbbgfbea")
+        assert (code, err) == (0, "")
+        assert "lambda=2" in out.splitlines()
+        assert phases == []
 
     @pytest.mark.parametrize(
         "word, message",

@@ -15,7 +15,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wordgraphs.cli import main  # noqa: E402
 from wordgraphs.connectivity import (  # noqa: E402
@@ -209,4 +209,41 @@ def test_check_report_matches_networkx(letters):
     assert report["bridges"] == ";".join(f"{name(u)}->{name(v)}" for u, v in expected)
 
     cut = expected_cut(g)
+    assert report["lambda"] == ("n/a" if cut is None else str(cut))
+
+
+@st.composite
+def strong_words(draw):
+    """Letters of 1-3 closed walks over disjoint alphabets of up to 30
+    symbols, one after another, closed by the first letter: a closed walk,
+    so the graph is strong.
+
+    Long walks give every symbol many incident edges, so lambda is often
+    above 2 and contraction phases still run under `check`'s bound of 2;
+    with several walks lambda is at most 2 however dense each walk is.
+    """
+    letters = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 30))
+        walk = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6 * m))
+        base = max(letters, default=-1) + 1
+        letters += [base + c for c in [*walk, walk[0]]]
+    return canonical_letters([*letters, letters[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(strong_words())
+# Least degree 3 but lambda 2, through the two edges into and out of the
+# second walk: a bound above the proved one would answer 3.
+@example((0, 1, 1, 2, 3, 4, 5, 3, 3, 4, 2, 5, 4, 1, 0, 6, 7, 8, 7, 8, 9, 10, 7, 10, 9, 9, 7, 9, 6, 0))
+def test_check_lambda_on_strong_words_needs_no_bound(letters):
+    # `check` tells edge_connectivity that a strong word's lambda is at
+    # least 2; the answer must equal the one derived without that bound.
+    n = len(set(letters))
+    text = ",".join(map(str, letters)) if n > 26 else "".join(chr(97 + c) for c in letters)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", text]) == 0
+    report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    cut = edge_connectivity(build_graph(Word(letters)))
     assert report["lambda"] == ("n/a" if cut is None else str(cut))

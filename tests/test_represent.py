@@ -16,7 +16,13 @@ from wordgraphs.represent import (
 )
 from wordgraphs.words import Word, iter_canonical_words, parse_word
 
-from brute import all_digraphs, covering_walk_exists, walk_edges
+from brute import (
+    all_digraphs,
+    covering_walk_exists,
+    reference_covering_walk,
+    reference_representational_walk,
+    walk_edges,
+)
 
 
 class CountingEdges(frozenset):
@@ -88,6 +94,24 @@ class TestCoveringWalk:
         for a, b in zip(walk, walk[1:]):
             assert (a, b) in g.edges
 
+    def test_two_hops_out_through_a_later_successor(self):
+        # The first edge's tail, 0, is two hops from 9 through 2 and through
+        # 3 but not through 1: the route goes through 2, the first of them in
+        # sorted order, as a breadth-first search would.
+        g = Digraph({0, 1, 2, 3, 9}, {(0, 9), (1, 9), (2, 0), (3, 0), (9, 1), (9, 2), (9, 3)})
+        walk = covering_walk(g, 9, 9)
+        assert walk == [9, 2, 0, 9, 1, 9, 3, 0, 9]
+        assert walk == reference_covering_walk(g.vertices, g.edges, 9, 9)
+
+    def test_two_hops_out_on_string_labels(self):
+        # The same graph with mixed-width labels, which sort as text.
+        name = {0: "10", 1: "2", 2: "3", 3: "4", 9: "9"}
+        edges = {(name[u], name[v]) for u, v in [(0, 9), (1, 9), (2, 0), (3, 0), (9, 1), (9, 2), (9, 3)]}
+        g = Digraph(frozenset(name.values()), frozenset(edges))
+        walk = covering_walk(g, "9", "9")
+        assert walk == ["9", "3", "10", "9", "2", "9", "4", "10", "9"]
+        assert walk == reference_covering_walk(g.vertices, g.edges, "9", "9")
+
     def test_requires_strong(self):
         with pytest.raises(NotStronglyConnectedError):
             covering_walk(build_graph(parse_word("ab")), 0, 1)
@@ -107,6 +131,17 @@ class TestSynthesis:
         g = Digraph({"a", "b", "c"}, {("a", "b"), ("b", "c")})
         assert synthesize_word(g) == Word((0, 1, 2))
         assert representational_walk(g) == ["a", "b", "c"]
+
+    def test_two_hops_out_inside_a_component(self):
+        # From 1, the tail 0 is two hops out through 3 and through 4; from 0,
+        # the seam's tail 4 is two hops out through 1 only, not through 2.
+        g = Digraph(
+            frozenset(range(7)),
+            {(0, 1), (0, 2), (1, 3), (1, 4), (2, 0), (3, 0), (4, 0), (4, 5), (5, 6), (6, 5)},
+        )
+        walk = representational_walk(g)
+        assert walk == [0, 1, 3, 0, 2, 0, 1, 4, 0, 1, 4, 5, 6, 5]
+        assert walk == reference_representational_walk(g.vertices, g.edges)
 
     def test_not_representable_raises(self):
         g = Digraph({"a", "b", "c"}, {("a", "b"), ("a", "c"), ("c", "b")})
@@ -149,7 +184,8 @@ class TestSynthesis:
             return real_out_lists(graph)
 
         monkeypatch.setattr(Digraph, "__init__", counting_init)
-        for module in (wordgraphs.graphs, wordgraphs.connectivity, wordgraphs.represent):
+        # `represent` builds its own rank lists and imports no `_out_lists`.
+        for module in (wordgraphs.graphs, wordgraphs.connectivity):
             monkeypatch.setattr(module, "_out_lists", counting_out_lists)
         counts = []
         for components in (50, 500):

@@ -5,6 +5,10 @@ over its own vertices, joined by one seam edge apiece; some lose a seam or
 gain extra forward edges, so not every graph is representable.  Labels are
 decimal strings of mixed width, which sort as text ("10" before "2"), or
 ints, so rank order must follow the labels' own order.
+
+Every walk must also equal, exactly, the one the label-based reference
+walk in `brute` gives: a fresh breadth-first search, with a dict of
+parents and a deque, for every route.
 """
 
 import pytest
@@ -14,9 +18,27 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wordgraphs.graphs import Digraph  # noqa: E402
-from wordgraphs.represent import NotRepresentableError, representational_walk  # noqa: E402
+from wordgraphs.represent import (  # noqa: E402
+    NotRepresentableError,
+    covering_walk,
+    representational_walk,
+)
 
-from brute import covering_walk_exists, walk_edges  # noqa: E402
+from brute import (  # noqa: E402
+    covering_walk_exists,
+    reference_covering_walk,
+    reference_representational_walk,
+    walk_edges,
+)
+
+
+@st.composite
+def labels(draw, total):
+    """`total` distinct labels: mixed-width decimal strings or ints."""
+    if draw(st.booleans()):
+        numbers = draw(st.lists(st.integers(0, 150), min_size=total, max_size=total, unique=True))
+        return [str(x) for x in numbers]
+    return draw(st.lists(st.integers(-50, 50), min_size=total, max_size=total, unique=True))
 
 
 @st.composite
@@ -45,11 +67,7 @@ def component_paths(draw):
         edge = (draw(st.sampled_from(parts[i])), draw(st.sampled_from(parts[j])))
         extras += edge not in edges
         edges.add(edge)
-    if draw(st.booleans()):
-        numbers = draw(st.lists(st.integers(0, 150), min_size=total, max_size=total, unique=True))
-        label = [str(x) for x in numbers]
-    else:
-        label = draw(st.lists(st.integers(-50, 50), min_size=total, max_size=total, unique=True))
+    label = draw(labels(total))
     graph = Digraph(frozenset(label), frozenset((label[u], label[v]) for u, v in edges))
     members = [{label[v] for v in part} for part in parts]
     return graph, members, not dropped and not extras
@@ -63,6 +81,7 @@ def test_walk_on_a_path_of_components(case):
         walk = representational_walk(graph)
     except NotRepresentableError:
         walk = None
+    assert walk == reference_representational_walk(graph.vertices, graph.edges)
     if len(graph.vertices) <= 4:
         assert (walk is not None) == covering_walk_exists(graph)
     if intact:
@@ -73,3 +92,48 @@ def test_walk_on_a_path_of_components(case):
         assert walk[0] == min(members[0])
         (seam,) = [(u, v) for u, v in graph.edges if u in members[-2] and v in members[-1]]
         assert walk[-1] == seam[1]
+
+
+@st.composite
+def dense_or_sparse_paths(draw, components=None):
+    """A representable graph: a path of 2-4 strong components, or of
+    `components`, joined by one seam apiece.  Each is a closed walk through
+    its 1-12 members plus each other internal pair with a drawn density,
+    from none (a bare cycle) to all (complete), so routes on dense
+    components mostly end two hops out."""
+    count = components or draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    total = sum(sizes)
+    ids = draw(st.permutations(range(total)))
+    edges, parts, at = set(), [], 0
+    for size in sizes:
+        part = ids[at : at + size]
+        at += size
+        edges |= walk_edges([*part, part[0]])
+        edges |= {(u, v) for u in part for v in part if u != v and rng.random() < density}
+        parts.append(part)
+    edges |= {(draw(st.sampled_from(a)), draw(st.sampled_from(b))) for a, b in zip(parts, parts[1:])}
+    label = draw(labels(total))
+    return Digraph(frozenset(label), frozenset((label[u], label[v]) for u, v in edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse_paths())
+def test_walk_equals_the_reference_walk(graph):
+    walk = representational_walk(graph)
+    assert walk == reference_representational_walk(graph.vertices, graph.edges)
+    assert walk_edges(walk) == graph.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_covering_walk_equals_the_reference_walk(data):
+    graph = data.draw(dense_or_sparse_paths(components=1))
+    vertices = sorted(graph.vertices)
+    start, end = data.draw(st.sampled_from(vertices)), data.draw(st.sampled_from(vertices))
+    walk = covering_walk(graph, start, end)
+    assert walk == reference_covering_walk(graph.vertices, graph.edges, start, end)
+    assert (walk[0], walk[-1]) == (start, end)
+    assert walk_edges(walk) == graph.edges
