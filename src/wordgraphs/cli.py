@@ -25,11 +25,11 @@ from .counting import (
     strong_partition_count,
     strong_word_count,
 )
-from .factorization import _factor_slices
+from .factorization import split_points
 from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
-from .words import _LOWERCASE, Word, letters_text, parse_word
+from .words import _LOWERCASE, Word, parse_word
 
 
 @functools.cache
@@ -105,26 +105,28 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     word = _read_word(args.word)
-    # Cut a byte word's bytes, so each factor renders in C like the whole word.
-    factors = _factor_slices(word, word._bytes or word.letters)
-    strong = len(factors) == 1
+    text = word.text()
+    n = word.alphabet_size
+    # The text is rendered once and cut: a letter per symbol up to 26
+    # symbols, so its string slices are the factors; else comma-separated ids.
+    tokens = text if n <= 26 else text.split(",")
+    cuts = split_points(word)
+    bounds = (0, *cuts, word.length)
+    factors = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+    if tokens is not text:
+        factors = [",".join(f) for f in factors]
+    strong = not cuts
     # One factor per strong component, and each seam between factors is a
     # bridge of a weakly connected graph: lambda is 1 unless the word is
     # strong, and at least 2 when it is, since a strong graph has no bridge.
     cut = edge_connectivity(build_graph(word), at_least=2) if strong else 1
-    n = word.alphabet_size
-    # Ids follow first occurrence, so each factor's ids lie below the next's.
-    bridge_text = ";".join(
-        f"{letters_text(f[-1:], n)}->{letters_text(g[:1], n)}"
-        for f, g in zip(factors, factors[1:])
-    )
-    print(f"word={word.text()}")
+    print(f"word={text}")
     print(f"strong={'true' if strong else 'false'}")
     # Lambda is 0 exactly when the graph is weakly disconnected, None for one vertex.
     print(f"weak={'true' if cut != 0 else 'false'}")
     print(f"lambda={'n/a' if cut is None else cut}")
-    print(f"bridges={bridge_text}")
-    print("factors=" + "|".join(letters_text(f, n) for f in factors))
+    print("bridges=" + ";".join(f"{tokens[b - 1]}->{tokens[b]}" for b in cuts))
+    print("factors=" + "|".join(factors))
     print(f"k={len(factors)}")
     print(f"sccs={len(factors)}")
     if args.verbose:

@@ -49,10 +49,6 @@ def split_points(word: Word) -> list[int]:
 
 def finest_disjoint_factorization(word: Word) -> tuple[tuple[int, ...], ...]:
     """Cut the word at every split point: its finest alphabet-disjoint factors."""
-    return _factor_slices(word, word.letters)
-
-
-def _factor_slices(word: Word, letters: tuple[int, ...] | bytes) -> tuple:
-    """`letters`, one form of `word`, cut at every split point of the word."""
-    bounds = (0, *split_points(word), word.length)
+    letters = word.letters
+    bounds = (0, *split_points(word), len(letters))
     return tuple(letters[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1))

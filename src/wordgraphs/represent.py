@@ -11,8 +11,11 @@ Strongly connected digraphs are the one-component case.
 Both walks here run on the ranks of the sorted labels, each edge read once
 and sorted once as an integer, with the strong components from
 `connectivity._kosaraju`, the core of `scc_decomposition`, and one covering
-core, `_covering_walk`, whose routes are breadth-first searches over rank
-lists allocated once per walk.
+core, `_covering_walk`.  It steps along the first uncovered out-edge of the
+vertex it stands on, and searches breadth-first, over rank lists allocated
+once per walk, only when that vertex has none left.  Each search ends
+where the next step covers a new edge, or at the component's exit.  No
+minimality is promised.
 """
 
 from __future__ import annotations
@@ -33,15 +36,17 @@ class NotStronglyConnectedError(ValueError):
 def covering_walk(graph: Digraph, start, end) -> list:
     """A walk from start to end traversing every edge of a strongly connected graph.
 
-    Greedy: route by shortest paths to each uncovered edge in sorted order,
-    then to the requested end.  No minimality is promised.
+    The greedy walk of `_covering_walk`, with the whole graph as its one
+    part.  No minimality is promised.
     """
     if start not in graph.vertices or end not in graph.vertices:
         raise ValueError("start and end must be vertices")
     labels, adj, edges = _ranked(graph)
     if len(_kosaraju(adj, edges)[0]) != 1:
         raise NotStronglyConnectedError("covering walk requires one strong component")
-    walk = _covering_walk(list(adj.values()), edges, labels.index(start), labels.index(end))
+    walk = _covering_walk(
+        list(adj.values()), [len(edges)], [], labels.index(start), labels.index(end)
+    )
     return [labels[i] for i in walk]
 
 
@@ -62,81 +67,75 @@ def _ranked(graph: Digraph) -> tuple[list, dict, list]:
     return labels, adj, edges
 
 
-def _covering_walk(succ: list, edges: list, start: int, end: int) -> list[int]:
-    """Walk start..end over the ranks 0..V-1, covering `edges` in order,
-    routing by shortest paths in `succ`; a covered edge (u, v) is held as
-    the integer u * V + v.
+def _covering_walk(succ: list, counts: list, seams: list, start: int, end: int) -> list[int]:
+    """Walk from start over the ranks 0..V-1 through a path of strong parts:
+    part i has counts[i] edges in `succ`, its successor lists, and the walk
+    leaves it by the edge seams[i], or ends at `end` after the last part.
 
-    A route to b is the path a breadth-first search from the walk's end a
-    over `succ` gives.  None is needed when a is b, or when b is a
-    successor of a.  When b is two hops out, the search's parent of b is
-    the first successor of a, in list order, that has b as a successor, so
-    that probe answers before any search.  Otherwise the search stamps the
-    vertices it marks with a generation number, in mark and parent lists
-    allocated once per walk, and stops as soon as b is discovered.
+    Greedy.  While its part has an uncovered edge, the walk takes the first
+    uncovered out-edge, in list order, of the vertex it stands on.  When
+    that vertex has none, one breadth-first search over `succ` routes it to
+    the first vertex the search discovers that has one; once the part is
+    covered, to the part's exit.  So every search ends where the next step
+    covers an edge, or at an exit: at most E + k searches for k parts.
+    A route leaves a vertex with no uncovered out-edge and passes only
+    through such vertices, so it covers no new edge: each vertex's
+    out-edges are covered in list order, and `taken[u]` counts them.  The
+    searches stamp the vertices they mark with a generation number, in mark
+    and parent lists allocated once per walk.
     """
     n = len(succ)
     walk = [start]
-    covered: set = set()
+    taken = [0] * n
     mark = [0] * n
     parent = [0] * n
     stamp = 0
-
-    def reach(b: int) -> None:
-        nonlocal stamp
-        a = walk[-1]
-        if a == b:
-            return
-        if b in succ[a]:
-            covered.add(a * n + b)
-            walk.append(b)
-            return
-        for u in succ[a]:
-            if b in succ[u]:
-                covered.add(a * n + u)
-                covered.add(u * n + b)
-                walk.append(u)
-                walk.append(b)
-                return
-        stamp += 1
-        mark[a] = stamp
-        queue = [a]
-        i = 0
-        while mark[b] != stamp:
-            u = queue[i]
-            i += 1
-            for w in succ[u]:
-                if mark[w] != stamp:
-                    mark[w] = stamp
-                    parent[w] = u
-                    if w == b:
-                        break
-                    queue.append(w)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
-        covered.update([u * n + v for u, v in zip(path, path[1:])])
-        walk.extend(path[1:])
-
-    for u, v in edges:
-        code = u * n + v
-        if code in covered:
-            continue
-        reach(u)
-        covered.add(code)
-        walk.append(v)
-    reach(end)
+    a = start
+    for left, (tail, head) in zip(counts, [*seams, (end, None)]):
+        while left or a != tail:
+            out = succ[a]
+            t = taken[a]
+            if left and t < len(out):
+                taken[a] = t + 1
+                left -= 1
+                a = out[t]
+                walk.append(a)
+                continue
+            stamp += 1
+            mark[a] = stamp
+            queue = [a]
+            i = 0
+            goal = -1
+            while goal < 0:
+                u = queue[i]
+                i += 1
+                for w in succ[u]:
+                    if mark[w] != stamp:
+                        mark[w] = stamp
+                        parent[w] = u
+                        if (taken[w] < len(succ[w])) if left else w == tail:
+                            goal = w
+                            break
+                        queue.append(w)
+            path = [goal]
+            while (u := parent[path[-1]]) != a:
+                path.append(u)
+            path.reverse()
+            walk += path
+            a = goal
+        if head is not None:
+            walk.append(head)
+            a = head
     return walk
 
 
 def representational_walk(graph: Digraph) -> list:
     """A vertex walk whose adjacent distinct pairs are exactly the graph's edges.
 
-    Covers each component's internal edges in sorted order, then its one
-    seam, the edge into the next component.  Routes use internal edges
-    only, so they stay inside the component, and the walk ends at the last
-    component's entry.
+    Covers each component's internal edges by `_covering_walk`'s greedy
+    rule, then its one seam, the edge into the next component.  Routes use
+    internal edges only, so they stay inside the component, and the walk
+    ends at the last component's entry.
     """
     labels, walk = _rank_walk(graph)
     return [labels[i] for i in walk]
@@ -146,36 +145,32 @@ def _rank_walk(graph: Digraph) -> tuple[list, list[int]]:
     """The sorted vertices, and `representational_walk` over their ranks.
 
     One pass over the sorted edges builds the successor lists that
-    `_kosaraju` reads, and one more files each edge as internal to its
-    component or as the seam of two consecutive ones; any other crossing
-    edge, or a missing seam, means the condensation is not a single-edge
-    path.
+    `_kosaraju` reads, and one more counts each component's internal edges
+    and files each crossing edge as the seam of two consecutive components;
+    any other crossing edge, or a missing seam, means the condensation is
+    not a single-edge path.
     """
     _require_vertices(graph)
     labels, adj, edges = _ranked(graph)
     components, index = _kosaraju(adj, edges)
     k = len(components)
-    inside: list[list] = [[] for _ in range(k)]
+    counts = [0] * k
     seams: list = [None] * (k - 1)
     for edge in edges:
         i, j = index[edge[0]], index[edge[1]]
         if i == j:
-            inside[i].append(edge)
+            counts[i] += 1
         elif j == i + 1 and seams[i] is None:
             seams[i] = edge
         else:
             raise NotRepresentableError("condensation is not a single-edge path")
     if None in seams:
         raise NotRepresentableError("condensation is not a single-edge path")
-    order: list = []
-    for part, (u, v) in zip(inside, seams):
+    for u, v in seams:
         adj[u].remove(v)  # routes stay inside their component
-        order += part
-        order.append((u, v))
-    order += inside[-1]
     start = min(components[0])
     end = seams[-1][1] if seams else start
-    return labels, _covering_walk(list(adj.values()), order, start, end)
+    return labels, _covering_walk(list(adj.values()), counts, seams, start, end)
 
 
 def synthesize_word(graph: Digraph) -> Word:

@@ -2,9 +2,10 @@
 
 Nothing here imports wordgraphs: the enumerations build their items with
 the constructor they are given, and the oracles read plain letters, edge
-pairs, or only a graph's `vertices` and `edges`.  `_covering_walk` is the
-label-based greedy walk `represent` ran before it moved to integer ranks,
-kept unchanged as the reference its walks must equal exactly.
+pairs, or only a graph's `vertices` and `edges`.  `_covering_walk` is
+`represent`'s greedy walk written again on labels, with a set of covered
+label pairs in place of per-vertex counts: the reference its walks must
+equal exactly.
 """
 
 import itertools
@@ -94,60 +95,74 @@ def covering_walk_exists(g):
     return False
 
 
-def _covering_walk(adj: dict, edges: list, start, end) -> list:
-    """Walk start..end over `edges` in order, routing by shortest paths in `adj`."""
+def _covering_walk(adj: dict, parts: list, start) -> list:
+    """The greedy walk from start through `parts`, each (the set of its
+    internal edges, the vertex the walk leaves it from, the vertex it steps
+    to next or None), routing in `adj`, which holds internal edges only.
+
+    While the part has an uncovered edge, step along the first uncovered
+    out-edge, in list order, of the vertex the walk stands on; if there is
+    none, route by a fresh breadth-first search (a dict of parents and a
+    deque) to the first vertex it discovers with an uncovered out-edge.
+    Once the part is covered, route the same way to its exit.
+    """
     walk = [start]
     covered: set = set()
+    for inside, exit, head in parts:
+        while True:
+            a = walk[-1]
+            todo = inside - covered
+            fresh = [w for w in adj[a] if (a, w) not in covered]
+            if todo and fresh:
+                covered.add((a, fresh[0]))
+                walk.append(fresh[0])
+                continue
+            if not todo and a == exit:
+                break
 
-    def reach(b) -> None:
-        # No search when the walk stands on b, and none when b is one hop
-        # away: that hop is the path a breadth-first search would return.
-        a = walk[-1]
-        if a == b:
-            return
-        if b in adj[a]:
-            path = [a, b]
-        else:
+            def goal(w):
+                if todo:
+                    return any((w, x) not in covered for x in adj[w])
+                return w == exit
+
             parent = {a: a}
             queue = deque([a])
-            while b not in parent:
+            found = None
+            while found is None:
                 u = queue.popleft()
                 for w in adj[u]:
                     if w not in parent:
                         parent[w] = u
+                        if goal(w):
+                            found = w
+                            break
                         queue.append(w)
-            path = [b]
+            path = [found]
             while path[-1] != a:
                 path.append(parent[path[-1]])
             path.reverse()
-        covered.update(zip(path, path[1:]))
-        walk.extend(path[1:])
-
-    for edge in edges:
-        if edge in covered:
-            continue
-        reach(edge[0])
-        covered.add(edge)
-        walk.append(edge[1])
-    reach(end)
+            covered.update(zip(path, path[1:]))
+            walk.extend(path[1:])
+        if head is not None:
+            walk.append(head)
     return walk
 
 
 def reference_covering_walk(vertices, edges, start, end):
-    """The greedy covering walk on labels: every edge in sorted order, routed
-    by a fresh breadth-first search (a dict of parents and a deque) over
-    sorted successor lists, as `_covering_walk` above does."""
+    """The greedy covering walk on labels, as `_covering_walk` above gives
+    it, with the whole graph as one part and sorted successor lists."""
     adj = {v: [] for v in sorted(vertices)}
     for u, v in sorted(edges):
         adj[u].append(v)
-    return _covering_walk(adj, sorted(edges), start, end)
+    return _covering_walk(adj, [(set(edges), end, None)], start)
 
 
 def reference_representational_walk(vertices, edges):
     """The greedy walk of a graph whose condensation is a path of
-    components joined by one seam each: each component's internal edges in
-    sorted order, then its seam, routed inside the component; None when the
-    condensation is not such a path."""
+    components joined by one seam each: `_covering_walk` above through the
+    components in path order, routed inside each over its sorted internal
+    edges, leaving each by its seam; None when the condensation is not such
+    a path."""
     reach = {v: reachable(edges, v) for v in vertices}
     components = {frozenset(w for w in reach[v] if v in reach[w]) for v in vertices}
     # On a path of components the first reaches all, the last only itself.
@@ -162,15 +177,14 @@ def reference_representational_walk(vertices, edges):
             seams[i] = (u, v)
     if len(seams) != len(path) - 1:
         return None
-    routes = {v: [] for v in sorted(vertices)}
-    order = []
-    for i, part in enumerate(path):
-        inside = sorted((u, v) for u, v in edges if index[u] == index[v] == i)
-        for u, v in inside:
-            routes[u].append(v)
-        order += inside
-        if i in seams:
-            order.append(seams[i])
     start = min(path[0])
-    end = seams[len(path) - 2][1] if seams else start
-    return _covering_walk(routes, order, start, end)
+    routes = {v: [] for v in sorted(vertices)}
+    parts = []
+    for i in range(len(path)):
+        inside = {(u, v) for u, v in edges if index[u] == index[v] == i}
+        for u, v in sorted(inside):
+            routes[u].append(v)
+        # The last part ends at its entry: the last seam's head, or the start.
+        exit, head = seams[i] if i in seams else (seams[i - 1][1] if i else start, None)
+        parts.append((inside, exit, head))
+    return _covering_walk(routes, parts, start)

@@ -91,15 +91,15 @@ EXPECTED = {
         "len=6966 sha256=d581772dfa48bf45af47f37acbc04ed4d40fdc2e03d5adf88beb3b434d7d35f9",
     ),
     "labels": ("ababcdc", "x1,x2,x1,x2,y,zz,y\n"),
-    "mixed": ("abacbafeabcbdcdceabdba", "abacbafeabcbdcdceabdba\n"),
+    "mixed": ("abacbcdbdceafea", "abacbcdbdceafea\n"),
     "source-then-cycle": ("abcb", "abcb\n"),
     "strong-200": (
-        "len=3737 sha256=089c32b10ea17dddd18b14f07009d21516a0cf05da4da760950ad9268daf7fae",
-        "len=3650 sha256=0103704bbd3a490122081a50b218489d711fac9aa6dcd01a46fd27e561c44040",
+        "len=2135 sha256=fed00fa75cbade6485684dc97933498b87803754e6b894be2dd208f55dd94a2c",
+        "len=2145 sha256=b7a7712e69432cdb2ad2c31e51b40575f5f86bc8f203a71c96861c960c35eecb",
     ),
     "strong-30": (
-        "len=365 sha256=c026a560068f3b1458ec876c3b993cf9e7133f3f5b9552436afb1e5d38ca0cea",
-        "len=378 sha256=f4fd8c68786ff466ae608a3fe3a943332353d8dea46c3b189a843f63a6280909",
+        "len=260 sha256=5aa07fc33de7ef24ea6127da98d870135e263089bc4c236f382b9d9ad0dce941",
+        "len=266 sha256=8c5fce57f0fe8bc8ef1e1fb21c38c5ff2b64dc4f43b4b08b0fd2608d7bc43b28",
     ),
     "two-cycle": ("aba", "aba\n"),
 }
@@ -169,7 +169,7 @@ def witness_line(graph):
 CORPUS_EXPECTED = (
     3000,
     327,
-    "7cbc0d8c8daa55d7394ce57015c030760a1d96dfa5503781f8905b9a1c499722",
+    "9c471ca8fe2b13f8ea35b04301e5bb962ac5804c4f032b247e9171dc3a149e5d",
 )
 
 

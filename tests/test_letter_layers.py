@@ -10,8 +10,11 @@ need not be canonical, on `check -` of 300k-letter words, and on token
 words at 255, 256 and 257 distinct ids, either side of the byte form.  The
 byte form's pair passes are also compared with the tuple form at alphabets
 either side of 15 and 30 symbols, where the passes give way to pair codes.
+`check` cuts its word's text once, and its factors= and bridges= lines are
+compared with each factor rendered on its own by `letters_text`.
 """
 
+import contextlib
 import io
 import itertools
 import random
@@ -291,3 +294,47 @@ def test_check_either_side_of_the_byte_form(monkeypatch, capsys, alphabet_size, 
     expected = report_oracle(letters, alphabet_size)
     assert expected[1]["strong"] == str(strong).lower()
     assert check_stdin(monkeypatch, capsys, text) == expected
+
+
+@st.composite
+def chunked_texts(draw):
+    """The text of a word over 1-26, 27-256 or 257-320 symbols: chunks over
+    runs of their own symbols, each chunk every one of its symbols in a
+    shuffled order and then more of them.  With `overlap` a chunk may also
+    draw its predecessor's highest symbol, which closes the split point
+    between them when it does."""
+    low, high = draw(st.sampled_from([(1, 26), (27, 256), (257, 320)]))
+    total = draw(st.integers(low, high))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    overlap = draw(st.booleans())
+    ends = sorted(rng.sample(range(1, total), min(total - 1, draw(st.integers(0, 5)))))
+    letters, base = [], 0
+    for end in [*ends, total]:
+        ids = list(range(base, end))
+        rng.shuffle(ids)
+        first = base - 1 if overlap and base else base
+        letters += ids + [rng.randrange(first, end) for _ in range(rng.randrange(2 * len(ids)))]
+        base = end
+    return text_oracle(letters, total), total
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunked_texts())
+def test_check_cuts_its_text_as_each_factor_renders(case):
+    """`check` cuts the text of its word once; its factors= and bridges=
+    lines must read as each factor of `finest_disjoint_factorization`
+    rendered on its own, on letter words, byte words and tuple words."""
+    text, alphabet_size = case
+    word = parse_word(text)
+    assert word.alphabet_size == alphabet_size
+    assert (word._bytes is None) == (alphabet_size > 256)
+    factors = finest_disjoint_factorization(word)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check", text])
+    fields = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    assert fields["factors"] == "|".join(letters_text(f, alphabet_size) for f in factors)
+    assert fields["bridges"] == ";".join(
+        f"{letters_text(f[-1:], alphabet_size)}->{letters_text(g[:1], alphabet_size)}"
+        for f, g in zip(factors, factors[1:])
+    )

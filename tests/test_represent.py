@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ import wordgraphs.connectivity
 import wordgraphs.graphs
 import wordgraphs.represent
 from wordgraphs.connectivity import weakly_connected
-from wordgraphs.graphs import Digraph, InvalidGraphError, build_graph
+from wordgraphs.graphs import Digraph, InvalidGraphError, build_graph, letter_labeled
 from wordgraphs.represent import (
     NotRepresentableError,
     NotStronglyConnectedError,
@@ -94,23 +95,34 @@ class TestCoveringWalk:
         for a, b in zip(walk, walk[1:]):
             assert (a, b) in g.edges
 
-    def test_two_hops_out_through_a_later_successor(self):
-        # The first edge's tail, 0, is two hops from 9 through 2 and through
-        # 3 but not through 1: the route goes through 2, the first of them in
-        # sorted order, as a breadth-first search would.
-        g = Digraph({0, 1, 2, 3, 9}, {(0, 9), (1, 9), (2, 0), (3, 0), (9, 1), (9, 2), (9, 3)})
-        walk = covering_walk(g, 9, 9)
-        assert walk == [9, 2, 0, 9, 1, 9, 3, 0, 9]
-        assert walk == reference_covering_walk(g.vertices, g.edges, 9, 9)
+    def test_takes_the_first_uncovered_successor(self):
+        # Each return to the hub 0 steps along its next uncovered edge, in
+        # sorted order, with no search.
+        g = Digraph({0, 1, 2, 3}, {(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+        walk = covering_walk(g, 0, 0)
+        assert walk == [0, 1, 0, 2, 0, 3, 0]
+        assert walk == reference_covering_walk(g.vertices, g.edges, 0, 0)
 
-    def test_two_hops_out_on_string_labels(self):
-        # The same graph with mixed-width labels, which sort as text.
-        name = {0: "10", 1: "2", 2: "3", 3: "4", 9: "9"}
-        edges = {(name[u], name[v]) for u, v in [(0, 9), (1, 9), (2, 0), (3, 0), (9, 1), (9, 2), (9, 3)]}
-        g = Digraph(frozenset(name.values()), frozenset(edges))
-        walk = covering_walk(g, "9", "9")
-        assert walk == ["9", "3", "10", "9", "2", "9", "4", "10", "9"]
-        assert walk == reference_covering_walk(g.vertices, g.edges, "9", "9")
+    def test_searches_only_when_stuck(self):
+        # At 2 the walk takes its first uncovered edge, back to 0, though
+        # (1, 0) comes before it in sorted edge order.  At 0 it is stuck and
+        # searches: 2, the first vertex it discovers, still has (2, 1).
+        g = Digraph({0, 1, 2}, {(0, 2), (1, 0), (2, 0), (2, 1)})
+        walk = covering_walk(g, 0, 0)
+        assert walk == [0, 2, 0, 2, 1, 0]
+        assert walk == reference_covering_walk(g.vertices, g.edges, 0, 0)
+
+    def test_nearest_in_discovery_order_on_string_labels(self):
+        # Stuck at 5, with both its successors still holding an edge to 7,
+        # the search goes to the first one it discovers: 10 before 2 as
+        # text, 2 before 10 as ints.
+        pairs = [(5, 10), (5, 2), (10, 5), (10, 7), (2, 5), (2, 7), (7, 5)]
+        g = Digraph({5, 10, 2, 7}, pairs)
+        assert covering_walk(g, 5, 5) == [5, 2, 5, 10, 5, 2, 7, 5, 10, 7, 5]
+        g = Digraph({"5", "10", "2", "7"}, {(str(u), str(v)) for u, v in pairs})
+        walk = covering_walk(g, "5", "5")
+        assert walk == ["5", "10", "5", "2", "5", "10", "7", "5", "2", "7", "5"]
+        assert walk == reference_covering_walk(g.vertices, g.edges, "5", "5")
 
     def test_requires_strong(self):
         with pytest.raises(NotStronglyConnectedError):
@@ -132,16 +144,29 @@ class TestSynthesis:
         assert synthesize_word(g) == Word((0, 1, 2))
         assert representational_walk(g) == ["a", "b", "c"]
 
-    def test_two_hops_out_inside_a_component(self):
-        # From 1, the tail 0 is two hops out through 3 and through 4; from 0,
-        # the seam's tail 4 is two hops out through 1 only, not through 2.
-        g = Digraph(
-            frozenset(range(7)),
-            {(0, 1), (0, 2), (1, 3), (1, 4), (2, 0), (3, 0), (4, 0), (4, 5), (5, 6), (6, 5)},
-        )
+    def test_routes_to_the_exit(self):
+        # With its component covered at 0, the walk searches for the seam's
+        # tail 2, past 1, which it discovers first, and crosses to 3.
+        g = Digraph(frozenset(range(5)), {(0, 1), (0, 2), (1, 0), (2, 0), (2, 3), (3, 4), (4, 3)})
         walk = representational_walk(g)
-        assert walk == [0, 1, 3, 0, 2, 0, 1, 4, 0, 1, 4, 5, 6, 5]
+        assert walk == [0, 1, 0, 2, 0, 2, 3, 4, 3]
         assert walk == reference_representational_walk(g.vertices, g.edges)
+
+    @pytest.mark.parametrize("shape", ["n=2000", "n=8000", "7000 letters"])
+    def test_walk_has_at_most_edges_plus_vertices_letters(self, shape):
+        # Known defect 6: a walk that searched once per uncovered edge, in
+        # sorted edge order, gave 20,503, 86,114 and 13,678 letters here.
+        if shape == "7000 letters":
+            draw = random.Random(5).randrange
+            g = build_graph(parse_word(",".join(str(draw(400)) for _ in range(7000))))
+        else:
+            n = int(shape[2:])
+            draw = random.Random(1).randrange
+            letters = [*range(n), *(draw(n) for _ in range(4 * n)), 0]
+            g = letter_labeled(build_graph(Word(tuple(letters))))
+        walk = representational_walk(g)
+        assert walk_edges(walk) == g.edges
+        assert len(walk) <= len(g.edges) + len(g.vertices)
 
     def test_not_representable_raises(self):
         g = Digraph({"a", "b", "c"}, {("a", "b"), ("a", "c"), ("c", "b")})

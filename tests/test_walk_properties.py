@@ -7,8 +7,9 @@ decimal strings of mixed width, which sort as text ("10" before "2"), or
 ints, so rank order must follow the labels' own order.
 
 Every walk must also equal, exactly, the one the label-based reference
-walk in `brute` gives: a fresh breadth-first search, with a dict of
-parents and a deque, for every route.
+walk in `brute` gives: the same greedy rule kept with a set of covered
+label pairs, and a fresh breadth-first search, with a dict of parents and
+a deque, whenever the walk is stuck.
 """
 
 import pytest
@@ -99,8 +100,7 @@ def dense_or_sparse_paths(draw, components=None):
     """A representable graph: a path of 2-4 strong components, or of
     `components`, joined by one seam apiece.  Each is a closed walk through
     its 1-12 members plus each other internal pair with a drawn density,
-    from none (a bare cycle) to all (complete), so routes on dense
-    components mostly end two hops out."""
+    from none (a bare cycle) to all (complete)."""
     count = components or draw(st.integers(2, 4))
     sizes = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
