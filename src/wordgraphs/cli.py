@@ -6,14 +6,20 @@ false predicate, 2 for usage or input errors, 3 for a verification
 mismatch.  All output is machine-parseable; nothing is written to stderr
 on success.  A reader that closes standard output early ends the command
 with 141, the status a shell reports for a process killed by SIGPIPE.
+
+Arguments are read off one table, `_COMMANDS`, without argparse, whose
+parsers cost every fresh process milliseconds.  Options come in any order,
+as `--flag value` or `--flag=value`; the token after an option is its value,
+and a repeated option keeps its last.  Options are spelled out in full: a
+prefix such as `--len` is refused.  A usage error, like any input error, is
+one `error:` line and exit 2.  `--help` prints usage made from the table.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .connectivity import edge_connectivity
 from .counting import (
@@ -30,61 +36,6 @@ from .graphs import build_graph, from_json, letter_labeled, to_dot, to_json
 from .represent import NotRepresentableError, representational_walk
 from .verify import run_verification
 from .words import _LOWERCASE, Word, parse_word
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused by later ones.
-
-    Parsing keeps no state in the parser: each call fills a fresh namespace.
-    """
-    parser = argparse.ArgumentParser(
-        prog="wordgraphs",
-        description="Build and analyze the digraphs encoded by words.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="render a word's graph")
-    p.add_argument("word", help="the word, or - to read it from standard input")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-
-    p = sub.add_parser("check", help="connectivity report for a word (exit 0 iff strong)")
-    p.add_argument("word", help="the word, or - to read it from standard input")
-    p.add_argument("--verbose", action="store_true")
-
-    p = sub.add_parser("count", help="count strongly connected words")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument(
-        "--partitions",
-        action="store_true",
-        help="count canonical words (one per partition) instead of labeled words",
-    )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    p = sub.add_parser("table", help="CSV table of counts")
-    p.add_argument("--max-length", type=int, required=True)
-    p.add_argument("--max-alphabet", type=int, required=True)
-    p.add_argument("--out", help="write CSV here instead of standard output")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    p = sub.add_parser("verify", help="exhaustive identity checks (exit 3 on mismatch)")
-    p.add_argument("--max-length", type=int, required=True)
-    p.add_argument("--max-alphabet", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--verbose", action="store_true")
-    # Fault-injection hook for testing the harness itself; not for users.
-    p.add_argument("--seed-count", metavar="L:N:VALUE", help=argparse.SUPPRESS)
-
-    p = sub.add_parser("represent", help="synthesize a word for a digraph (exit 1 if none)")
-    p.add_argument("--input", required=True, help="path to a JSON digraph")
-
-    p = sub.add_parser("histogram", help="words per strong-component count")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    return parser
 
 
 def _read_word(arg: str) -> Word:
@@ -106,16 +57,21 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     word = _read_word(args.word)
     text = word.text()
-    n = word.alphabet_size
-    # The text is rendered once and cut: a letter per symbol up to 26
-    # symbols, so its string slices are the factors; else comma-separated ids.
-    tokens = text if n <= 26 else text.split(",")
     cuts = split_points(word)
-    bounds = (0, *cuts, word.length)
-    factors = [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
-    if tokens is not text:
-        factors = [",".join(f) for f in factors]
     strong = not cuts
+    # The text is rendered once and sliced, never split: up to 26 symbols a
+    # letter is one character, so the cuts are its offsets and the bridges'
+    # tokens its characters.  Past that, a cut's offset is the summed widths
+    # of the ids before it, each with its comma, and the tokens are the ids.
+    tokens, starts, comma = text, cuts, 0
+    if cuts and word.alphabet_size > 26:
+        tokens, starts, comma, at = word._bytes or word.letters, [], 1, 0
+        width = [len(str(c)) + 1 for c in range(word.alphabet_size)]
+        for a, b in zip((0, *cuts), cuts):
+            at += sum(map(width.__getitem__, tokens[a:b]))
+            starts.append(at)
+    bounds = (0, *starts, len(text) + comma)
+    factors = [text[a : b - comma] for a, b in zip(bounds, bounds[1:])]
     # One factor per strong component, and each seam between factors is a
     # bridge of a weakly connected graph: lambda is 1 unless the word is
     # strong, and at least 2 when it is, since a strong graph has no bridge.
@@ -209,32 +165,98 @@ def _cmd_histogram(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "build": _cmd_build,
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "represent": _cmd_represent,
-    "histogram": _cmd_histogram,
+def _cmd_help(name: str | None) -> int:
+    """Help made from `_COMMANDS`: the usage of every command, or of `name`."""
+    print("usage: wordgraphs COMMAND [OPTIONS]; a WORD of - is read from standard input")
+    for command, (_, about, positional, options) in _COMMANDS.items():
+        if name in (None, command):
+            usage = [command, *([positional.upper()] if positional else [])]
+            for flag, (kind, default) in options.items():
+                meta = "{" + ",".join(kind) + "}" if type(kind) is tuple else flag[2:].upper()
+                spec = flag if kind is bool else f"{flag} {meta}"
+                if flag != "--seed-count":  # fault injection, for testing the harness only
+                    usage.append(spec if default is _REQUIRED else f"[{spec}]")
+            print(f"  {' '.join(usage)}\n      {about}")
+    return 0
+
+
+_REQUIRED = object()
+_INT, _FLAG, _CAP = (int, _REQUIRED), (bool, False), (int, DEFAULT_CAP)
+# Per command: its handler, one-line help, positional argument and options.
+# Each option has a converter (int, str, the tuple of values it allows, or
+# bool for a flag, which takes no value) and a default, or _REQUIRED.
+_COMMANDS = {
+    "build": (_cmd_build, "render a word's graph", "word", {"--format": (("dot", "json"), "dot")}),
+    "check": (_cmd_check, "connectivity report (exit 0 iff strong)", "word", {"--verbose": _FLAG}),
+    "count": (_cmd_count, "count strong words (canonical ones with --partitions)", None,
+              {"--length": _INT, "--alphabet": _INT, "--partitions": _FLAG, "--cap": _CAP}),
+    "table": (_cmd_table, "CSV table of counts", None,
+              {"--max-length": _INT, "--max-alphabet": _INT, "--out": (str, None), "--cap": _CAP}),
+    "verify": (_cmd_verify, "exhaustive identity checks (exit 3 on mismatch)", None,
+               {"--max-length": _INT, "--max-alphabet": (int, None), "--cap": _CAP,
+                "--verbose": _FLAG, "--seed-count": (str, None)}),
+    "represent": (_cmd_represent, "witness word for the digraph in --input (exit 1 if none)", None,
+                  {"--input": (str, _REQUIRED)}),
+    "histogram": (_cmd_histogram, "words per strong-component count", None,
+                  {"--length": _INT, "--alphabet": _INT, "--cap": _CAP}),
 }
 
 
+def _parse(argv: list[str]):
+    """The handler `argv` names and its arguments; a usage error raises ValueError."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return _cmd_help, None
+    if name not in _COMMANDS:
+        got = f", got {name!r}" if argv else ""
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}){got}")
+    handler, _, positional, options = _COMMANDS[name]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kind = options.get(flag, (None,))[0]
+        if token in ("-h", "--help"):
+            return _cmd_help, name
+        if token[:1] != "-" or token == "-":
+            if not positional or positional in given:
+                raise ValueError(f"{name} got an unexpected argument {token!r}")
+            flag, value = positional, token
+        elif kind is None or eq and kind is bool:
+            raise ValueError(f"{name} has no option {token!r}")
+        elif kind is bool:
+            value = True
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise ValueError(f"{flag} expects a value")
+            if type(kind) is tuple and value not in kind:
+                raise ValueError(f"{flag} expects {' or '.join(kind)}, got {value!r}")
+            try:
+                value = int(value) if kind is int else value
+            except ValueError:
+                raise ValueError(f"{flag} expects an integer, got {value!r}") from None
+        given[flag] = value
+    if positional and positional not in given:
+        raise ValueError(f"{name} expects a {positional}, or - to read it from standard input")
+    args = {positional: given[positional]} if positional else {}
+    for flag, (_, default) in options.items():
+        if given.get(flag, default) is _REQUIRED:
+            raise ValueError(f"{name} needs {flag}")
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return handler, SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    # Counts print in full, so the digit limit is lifted after parsing, for the
-    # command only.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        # Counts print in full, so the digit limit is lifted after parsing, for
+        # the command only.
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         if getattr(args, "cap", 0) < 0:
             raise ValueError(f"cap must be at least 0, got {args.cap}")
-        status = _HANDLERS[args.command](args)
+        status = handler(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

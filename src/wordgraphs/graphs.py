@@ -190,6 +190,16 @@ def to_json(graph: Digraph) -> str:
     return json.dumps({"vertices": vertices, "edges": edges}, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key rather than keeping its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InvalidGraphError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def from_json(text: str) -> Digraph:
     """Parse the JSON interchange form, rejecting malformed documents.
 
@@ -201,7 +211,9 @@ def from_json(text: str) -> Digraph:
 
     try:
         # No label is a number: float() reads any digit count, int() stops at 4,300.
-        doc = json.loads(text, parse_int=float)
+        doc = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)
+    except InvalidGraphError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise InvalidGraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -186,6 +187,32 @@ class TestCheck:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert f"word={word}" in proc.stdout.splitlines()
+
+    def test_strong_word_past_256_symbols_is_not_split_into_tokens(self):
+        # 300,000 ids over 300 symbols, strong, with symbol 0 at both ends
+        # only, so lambda is 2 with no contraction phase.  On CPython 3.11
+        # (x86-64) the report needs about 43 MB of address space; holding one
+        # string per letter as well, about 61 MB.  The limit is set in the
+        # child only.
+        resource = pytest.importorskip("resource")
+        limit = 52 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        rng = random.Random(3)
+        letters = [*range(300), *(rng.randrange(1, 300) for _ in range(300_000)), 0]
+        text = ",".join(map(str, letters))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wordgraphs", "check", "-"],
+            input=text.encode(),
+            capture_output=True,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        expected = f"word={text}\nstrong=true\nweak=true\nlambda=2\nbridges=\nfactors={text}\n"
+        assert proc.stdout.decode() == expected + "k=1\nsccs=1\n"
 
 class TestCount:
     def test_word_count(self, capsys):
@@ -455,6 +482,77 @@ class TestHarnessContract:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["count", "--length", "3", "--alphabet", "2", "--colour"],
+            ["count", "--length", "3"],
+            ["histogram", "--length", "3", "--alphabet"],
+            ["count", "--length", "x", "--alphabet", "2"],
+            ["count", "--length", "x", "--length", "3", "--alphabet", "2"],
+            ["build", "ab", "--format", "xml"],
+            ["check", "abca", "abcb"],
+            ["check"],
+            ["check", "--verbose"],
+            ["verify", "--max-len", "3"],
+            ["check", "--verbose=yes", "abca"],
+            ["table", "--max-length", "3", "--max-alphabet", "3", "extra"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    # Every command and every option a user may give, written out here, not
+    # read from the CLI's own table.
+    OPTIONS = {
+        "build": ["WORD", "--format", "dot", "json"],
+        "check": ["WORD", "--verbose"],
+        "count": ["--length", "--alphabet", "--partitions", "--cap"],
+        "table": ["--max-length", "--max-alphabet", "--out", "--cap"],
+        "verify": ["--max-length", "--max-alphabet", "--cap", "--verbose"],
+        "represent": ["--input"],
+        "histogram": ["--length", "--alphabet", "--cap"],
+    }
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for command, options in self.OPTIONS.items():
+            assert command in out
+            for option in options:
+                assert option in out, (command, option)
+        assert "--seed-count" not in out
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_command_help_lists_its_options(self, capsys, command):
+        for argv in ([command, "--help"], [command, "-h"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert command in out
+            for option in self.OPTIONS[command]:
+                assert option in out, (command, option)
+            assert "--seed-count" not in out
+
+    def test_options_come_in_any_order_and_the_last_one_counts(self, capsys):
+        expected = run(capsys, "count", "--length", "6", "--alphabet", "3", "--partitions")
+        assert expected[0] == 0
+        for argv in (
+            ["--partitions", "--alphabet", "3", "--length", "6"],
+            ["--length=6", "--alphabet=3", "--partitions"],
+            ["--length", "9", "--alphabet", "3", "--partitions", "--length", "6"],
+        ):
+            assert run(capsys, "count", *argv) == expected, argv
+
+    def test_abbreviated_options_are_refused(self, capsys):
+        code, out, err = run(capsys, "count", "--len", "3", "--alpha", "2")
+        assert (code, out, err) == (2, "", "error: count has no option '--len'\n")
+
     def test_negative_cap_is_usage_error_on_every_command(self, capsys):
         for argv in (
             ["count", "--length", "3", "--alphabet", "1"],
@@ -476,7 +574,7 @@ class TestHarnessContract:
         assert third == fourth
 
     def test_parser_reuse_matches_fresh_interpreters(self, capsys):
-        # One process builds the parser once; each call must parse as if fresh.
+        # One process runs many commands; each call must parse as if fresh.
         sequence = [
             ["check", "--verbose", "abcb"],
             ["check", "abcb"],

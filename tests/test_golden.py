@@ -342,6 +342,8 @@ ERROR_DOCS = {
         "error: duplicate edge ['b', 'c']\n",
     ),
     '{"vertices":[],"edges":[]}': (2, "error: graph has no vertices\n"),
+    # Read by its last value, the repeated key would make this graph not representable.
+    '{"vertices":["a","b"],"edges":[["a","b"]],"edges":[]}': (2, "error: repeated key 'edges'\n"),
 }
 ERROR_ARGVS = {
     ("check", ",,"): (2, "error: malformed token list: empty token at position 0\n"),
@@ -354,6 +356,11 @@ ERROR_ARGVS = {
         2,
         "error: --seed-count expects L:N:VALUE, three integers; got 'x'\n",
     ),
+    ("count", "--length", "x", "--alphabet", "2"): (
+        2,
+        "error: --length expects an integer, got 'x'\n",
+    ),
+    ("build", "ab", "--format", "xml"): (2, "error: --format expects dot or json, got 'xml'\n"),
 }
 
 

@@ -4,10 +4,11 @@ the oldest Python that pyproject.toml admits, and what importing it costs.
 A name dropped from a module but left in `__all__` breaks
 `from wordgraphs import *`; a name imported into the package but left out
 of `__all__` is public surface nobody declared.  Both fail here.  Every CLI
-command starts a fresh interpreter, so a module that imports `dataclasses`,
-`typing` or, at module level, `json` adds milliseconds to every command:
-that fails here too, naming the file and line.  Every immutable value
-class must pickle and copy, and a new one without a sample here fails.
+command starts a fresh interpreter, so a module that imports `argparse`,
+`dataclasses`, `typing` or, at module level, `json` adds milliseconds to
+every command: that fails here too, naming the file and line.  Every
+immutable value class must pickle and copy, and a new one without a sample
+here fails.
 """
 
 import ast
@@ -56,8 +57,9 @@ def test_sources_parse_as_the_oldest_supported_python():
 
 
 # Modules whose import costs milliseconds: dataclasses pulls in inspect, ast,
-# dis and tokenize.  json is read only when a graph is serialized.
-NEVER_IMPORTED = {"dataclasses", "inspect", "typing"}
+# dis and tokenize; argparse pulls in gettext, and its first parser locale.
+# json is read only when a graph is serialized.
+NEVER_IMPORTED = {"argparse", "dataclasses", "gettext", "inspect", "locale", "typing"}
 IMPORTED_ON_USE = {"json"}
 
 
@@ -101,6 +103,12 @@ import wordgraphs.cli
 print(sorted(watched & set(sys.modules)))
 wordgraphs.to_json(wordgraphs.build_graph(wordgraphs.parse_word("abca")))
 print(sorted(watched & set(sys.modules)))
+import contextlib, io
+for argv in (["histogram", "--length", "4", "--alphabet", "3"], ["verify", "--max-length", "3"],
+             ["check", "abca"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert wordgraphs.cli.main(argv) == 0, argv
+print(sorted(watched & set(sys.modules)))
 """
 
 
@@ -111,10 +119,12 @@ def test_import_loads_no_costly_module():
         [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, str(src), *watched],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    package, cli, serialized = result.stdout.splitlines()
+    package, cli, serialized, commands = result.stdout.splitlines()
     assert package == "[]"
     assert cli == "[]"
     assert serialized == "['json']"
+    # Running commands through `main` parses argv without argparse.
+    assert commands == "['json']"
 
 
 # One sample per `_Frozen` subclass, by qualified name.
