@@ -292,6 +292,28 @@ CLI_EXPECTED = {
         1,
         "e59eeaa9c75e620665d26846294c7a58452107a5ac9e548b670b9763f4e4eb1f",
     ),
+    # Long thin and wide cells, and histograms whose buckets reach far from
+    # the strong column.
+    ("count", "--length", "600", "--alphabet", "3", "--partitions"): (
+        0,
+        1,
+        "b6cb23eff563f3cfeb381583aeb02fc3d3a8ddc23f5f437ae4f8347fc9f96b0c",
+    ),
+    ("count", "--length", "400", "--alphabet", "40"): (
+        0,
+        1,
+        "50ae0e900ae053d720d5df2be321b84d563d8abfd9b6f6488062e294f89fbd79",
+    ),
+    ("histogram", "--length", "200", "--alphabet", "3"): (
+        0,
+        3,
+        "fbc9892ef5d31a180facd69513f96b9ef69e2f7da800bc35f0dd275c4356c3fd",
+    ),
+    ("histogram", "--length", "40", "--alphabet", "12"): (
+        0,
+        12,
+        "bb0388dbc0beb79ce29a4a2792a63a356d82372fe7f474386b945e2902acf28e",
+    ),
 }
 
 
