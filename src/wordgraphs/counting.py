@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
+from operator import add, mul
 
 DEFAULT_CAP = 10_000_000
 
@@ -32,41 +33,40 @@ def _transfer_scan(length: int, alphabet_size: int, components: int = 1) -> list
     is the number of open blocks (Flajolet 1980).  A proper prefix that is a
     union of blocks is a return to height 0, which splits the word, so each
     return ends one strong component and columns[1] holds T(l, n).  The scan
-    walks the positions keeping the number of prefixes per state (c
-    components begun, k blocks opened, o of them still open; o = 0 holds the
-    complete words).  Each position opens a singleton (k+1, o), opens a block
-    that stays open (k+1, o+1), or, in o ways each, closes an open block
-    (k, o-1) or continues one (k, o).  After a complete word, a new block
-    begins component c+1.
+    walks the positions keeping per state (c components begun, k blocks
+    opened) P(B), the sum of s[o] B^o over prefixes with o blocks open.  A
+    position opens a singleton, opens a block that stays open, or, in o ways
+    each, closes or continues an open block: P becomes (1 + B)(P' + Q), Q
+    being row k - 1 with its complete words (o = 0) replaced by component
+    c - 1's, since a new block after a complete word begins a component.
+
+    Rows are kept in powers of u = 1 + B, where (1 + B) d/dB maps u^m to
+    m u^m and 1 + B is a shift: new[m] = m b[m] + q[m - 1], one multiply and
+    one add per entry.  At m = 0 both terms vanish, so row k holds b[1..k].
+    The complete words, P at B = 0 (u = 1), are the row's sum.
     """
-    # columns[0] stays empty: every word of positive length has a component.
-    columns: list[list[list[int]]] = [[]]
+    # columns[0] counts nothing, as every word of positive length has a
+    # component; its rows are one shared list that is only read.
+    columns = [[[0] * (length + 1)] * (alphabet_size + 1)]
     columns += [[[0] * (length + 1) for _ in range(alphabet_size + 1)] for _ in range(components)]
-    # states[c][k][o] for c <= k; states[0] stays zero past the empty prefix.
-    states = [[[0] for _ in range(alphabet_size + 1)] for _ in range(components + 1)]
-    # One block stays open until it closes at the end: k = 1 never changes.
-    states[1][1] = [1, 1]
+    # Per c: rows b[1..k], columns c - 1 and c, and c - 1 (c needs c blocks).
+    layers = [
+        ([[0] * k for k in range(alphabet_size + 1)], columns[c - 1], columns[c], c - 1 or 1)
+        for c in range(1, components + 1)
+    ]
+    # k = 1 is one block, open until the last letter: P = 1 + B = u, fixed.
+    layers[0][0][1] = [1]
     columns[1][1][1:] = [1] * length
-    # Padding that also makes fewer[o - 1] read 0 at o = 0.
-    zeros = [0] * (alphabet_size + 2)
-    # Descending c and k read states[c - 1] and states[c][k - 1] before
-    # they are overwritten.  Component c needs c blocks; k = 1 is seeded.
-    layers = [(states[c], states[c - 1], columns[c], c - 1 or 1) for c in range(components, 0, -1)]
-    for p in range(2, length + 1):
-        # More open blocks than positions left can never all close.
-        room = length - p
+    multipliers = range(1, alphabet_size + 1)
+    for q, p in enumerate(range(2, length + 1), 1):
         high = min(p, alphabet_size)
         for row, below, column, low in layers:
+            # Descending k reads row[k - 1] before it is overwritten; Q
+            # differs from it only in the complete words, at u^0.
             for k in range(high, low, -1):
-                same = row[k] + zeros
-                # A new block after component c - 1's complete words begins c.
-                fewer = row[k - 1] + zeros
-                fewer[0] = below[k - 1][0]
-                row[k] = new = [
-                    o * same[o] + (o + 1) * same[o + 1] + fewer[o] + fewer[o - 1]
-                    for o in range(min(k, room) + 1)
-                ]
-                column[k][p] = new[0]
+                adjust = below[k - 1][q] - column[k - 1][q]
+                row[k] = new = [*map(add, map(mul, multipliers, row[k]), [adjust, *row[k - 1]])]
+                column[k][p] = sum(new)
     return columns
 
 

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from wordgraphs import counting
 from wordgraphs.connectivity import scc_decomposition, strongly_connected
 from wordgraphs.counting import (
     CapExceededError,
@@ -107,6 +108,32 @@ class TestStrongCounts:
             for n in range(1, 21):
                 assert table.strong_partition_count(length, n) == recurrence[n][length]
 
+    @pytest.mark.parametrize("max_length, max_alphabet", [(300, 4), (90, 90)])
+    def test_scan_matches_the_paper_recurrence_past_60_by_20(self, max_length, max_alphabet):
+        # Long thin columns, and a wide block whose cells with l <= 2n pass
+        # through prefixes with more open blocks than positions left.
+        recurrence = _paper_recurrence(max_length, max_alphabet, CountTable())
+        table = CountTable()
+        # Largest cells first, so that one scan fills the table.
+        for length in range(max_length, 0, -1):
+            for n in range(max_alphabet, 0, -1):
+                assert table.strong_partition_count(length, n) == recurrence[n][length]
+
+    def test_scan_shares_no_code_with_the_other_derivations(self, monkeypatch):
+        # verify compares the scan with the Stirling table and the paper's
+        # recurrence; the comparison shows something only while the three
+        # share no code.
+        strong = _paper_recurrence(30, 6, CountTable())[6][30]
+
+        def forbidden(*args):
+            raise AssertionError("the scan reached the Stirling table or the recurrence")
+
+        monkeypatch.setattr(CountTable, "stirling2", forbidden)
+        monkeypatch.setattr(CountTable, "_grow_stirling", forbidden)
+        monkeypatch.setattr("wordgraphs.verify._paper_recurrence", forbidden)
+        assert CountTable().strong_partition_count(30, 6) == strong
+        assert scc_histogram(12, 3) == {1: 82_509, 2: 3_962, 3: 55}
+
     def test_one_letter_repeats_around_the_rest(self):
         # T(n+1, n) = 1: a, then every other letter once, then a again.
         table = CountTable()
@@ -204,7 +231,7 @@ class TestHistogram:
                     enumerated[count] = enumerated.get(count, 0) + 1
                 assert scc_histogram(length, n) == dict(sorted(enumerated.items())), (length, n)
 
-    @pytest.mark.parametrize("length, n", [(12, 5), (30, 8), (40, 12)])
+    @pytest.mark.parametrize("length, n", [(12, 5), (30, 8), (40, 12), (200, 3)])
     def test_convolution_of_strong_counts(self, length, n):
         # A canonical word is its first strong factor followed by a canonical
         # word on the remaining, disjoint symbols, so the c-component bucket
@@ -223,6 +250,39 @@ class TestHistogram:
 
         expected = {c: buckets(c, length, n) for c in range(1, n + 1)}
         assert scc_histogram(length, n) == {c: h for c, h in expected.items() if h}
+
+    def test_cap_estimate_covers_every_entry_update(self, monkeypatch):
+        # Each (c, k, p) of the scan updates the k entries of one row and
+        # sums them; the cap's estimate must never fall below that work.
+        def updates(length, n, components):
+            return sum(
+                (low + high) * (high - low + 1) // 2
+                for c in range(1, components + 1)
+                for p in range(2, length + 1)
+                for low, high in [(max(c, 2), min(p, n))]
+                if low <= high
+            )
+
+        summed = []
+
+        def count_entries(row):
+            summed.append(len(row))
+            return 0
+
+        # Checks the formula against the rows the scan really sums.
+        monkeypatch.setattr(counting, "sum", count_entries, raising=False)
+        for components in (1, 3, 7):
+            summed.clear()
+            counting._transfer_scan(40, 7, components)
+            assert sum(summed) == updates(40, 7, components)
+        monkeypatch.undo()
+        for length in range(1, 81):
+            for n in range(1, min(length, 30) + 1):
+                for components in sorted({1, 2, n}):
+                    with pytest.raises(CapExceededError):
+                        counting._check_table_cap(
+                            length, n, updates(length, n, components) - 1, False, components
+                        )
 
     def test_two_symbol_closed_form(self):
         # Strong: T(l, 2) = 2^(l-1) - l.  Two components: a^i b^(l-i).
