@@ -45,11 +45,11 @@ def _transfer_scan(length: int, alphabet_size: int, components: int = 1) -> list
     one add per entry.  At m = 0 both terms vanish, so row k holds b[1..k].
     The complete words, P at B = 0 (u = 1), are the row's sum.
     """
-    # columns[0] counts nothing, as every word of positive length has a
-    # component; its rows are one shared list that is only read.
+    # columns[0] is zero (every word has a component); its rows share a list.
     columns = [[[0] * (length + 1)] * (alphabet_size + 1)]
     columns += [[[0] * (length + 1) for _ in range(alphabet_size + 1)] for _ in range(components)]
-    # Per c: rows b[1..k], columns c - 1 and c, and c - 1 (c needs c blocks).
+    # Per c: rows b[1..k], columns c - 1 and c, and the k below the least
+    # one updated (component c needs c blocks; k = 1 is seeded).
     layers = [
         ([[0] * k for k in range(alphabet_size + 1)], columns[c - 1], columns[c], c - 1 or 1)
         for c in range(1, components + 1)

@@ -110,8 +110,9 @@ class TestStrongCounts:
 
     @pytest.mark.parametrize("max_length, max_alphabet", [(300, 4), (90, 90)])
     def test_scan_matches_the_paper_recurrence_past_60_by_20(self, max_length, max_alphabet):
-        # Long thin columns, and a wide block whose cells with l <= 2n pass
-        # through prefixes with more open blocks than positions left.
+        # Long thin columns, and a wide block whose last positions hold many
+        # prefixes with more open blocks than positions left; the scan keeps
+        # them, and they must not reach a complete word.
         recurrence = _paper_recurrence(max_length, max_alphabet, CountTable())
         table = CountTable()
         # Largest cells first, so that one scan fills the table.
@@ -280,9 +281,8 @@ class TestHistogram:
             for n in range(1, min(length, 30) + 1):
                 for components in sorted({1, 2, n}):
                     with pytest.raises(CapExceededError):
-                        counting._check_table_cap(
-                            length, n, updates(length, n, components) - 1, False, components
-                        )
+                        cap = updates(length, n, components) - 1
+                        counting._check_table_cap(length, n, cap, rows=False, components=components)
 
     def test_two_symbol_closed_form(self):
         # Strong: T(l, 2) = 2^(l-1) - l.  Two components: a^i b^(l-i).
