@@ -77,10 +77,11 @@ class CountTable:
     T comes from one transfer scan that fills every cell up to the table's
     bounds; a request past them refills the table to the request's bounds.
     Thread-safe: the table is filled under a lock.  `seed_strong_count`
-    overwrites a table cell and exists purely as a fault-injection hook for
-    testing the verification harness; it has no legitimate production use.
-    A seeded cell reads back after every refill, and no other cell derives
-    from it.
+    records a value that reads in place of one cell and exists purely as a
+    fault-injection hook for testing the verification harness; it has no
+    legitimate production use.  Seeds are kept apart from the scan's
+    columns, so a seeded cell reads back after every refill, and no other
+    cell derives from it.
     """
 
     def __init__(self) -> None:
@@ -113,9 +114,6 @@ class CountTable:
         # that would cost an (L, N) scan that neither request asked for.
         self._strong = _transfer_scan(length, alphabet_size)[1]
         self._bounds = (length, alphabet_size)
-        for (l, n), value in self._seeds.items():
-            if l <= length and n <= alphabet_size:
-                self._strong[n][l] = value
 
     def stirling2(self, length: int, blocks: int) -> int:
         """Stirling number of the second kind."""
@@ -132,7 +130,8 @@ class CountTable:
         whose graph is strongly connected; equivalently, partitions of the
         positions in which no proper subset of blocks fills a prefix.
 
-        Read from the table that `_transfer_scan` fills.  Base cases, in
+        Read from the table that `_transfer_scan` fills, or from the cell's
+        seed (see `seed_strong_count`).  Base cases, in
         order of precedence: nothing for non-positive length, one trivial
         word per length on a single symbol, nothing when the length does
         not exceed the alphabet size.
@@ -147,7 +146,7 @@ class CountTable:
             return 0
         with self._lock:
             self._fill_strong(length, alphabet_size)
-            return self._strong[alphabet_size][length]
+            return self._seeds.get((length, alphabet_size), self._strong[alphabet_size][length])
 
     def strong_word_count(self, length: int, alphabet_size: int) -> int:
         """Strongly connected words of `length` over `alphabet_size` labeled symbols."""
@@ -162,32 +161,31 @@ class CountTable:
         return math.factorial(alphabet_size) * self.stirling2(length, alphabet_size)
 
     def seed_strong_count(self, length: int, alphabet_size: int, value: int) -> None:
-        """Overwrite one strong-count cell (fault-injection test hook).  The
-        seed outlives later refills and never scans: a cell past the table's
-        bounds takes it at the refill that reaches it.  Base cases cannot be
+        """Make one strong-count cell read `value` (fault-injection test hook).
+        The seed is only recorded, never scans and never enters the scan's
+        columns: `strong_partition_count` and `rows` read it in place of the
+        cell's count, so it outlives every refill.  Base cases cannot be
         seeded."""
         if length > alphabet_size > 1:
             with self._lock:
                 self._seeds[length, alphabet_size] = value
-                if length <= self._bounds[0] and alphabet_size <= self._bounds[1]:
-                    self._strong[alphabet_size][length] = value
 
     def rows(self, max_length: int, max_alphabet: int) -> Iterator[tuple[int, int, int, int, int]]:
         """(length, alphabet, stirling, strong partitions, strong words) per pair."""
         if max_length < 1 or max_alphabet < 1:
             raise ValueError("bounds must be at least 1")
         m = min(max_length, max_alphabet)
-        # The scan's columns hold the base cases and the seeds.  A refill
-        # replaces `_strong` and Stirling columns only grow, so the cells
-        # are read outside the lock.
+        # The scan's columns hold the base cases.  A refill replaces
+        # `_strong`, Stirling columns only grow and the seeds are copied, so
+        # the cells are read outside the lock.
         with self._lock:
             self._grow_stirling(max_length, m)
             self._fill_strong(max_length, m)
-            stirling, strong = self._stirling, self._strong
+            stirling, strong, seeds = self._stirling, self._strong, dict(self._seeds)
         factorials = [math.factorial(n) for n in range(m + 1)]
         for length in range(1, max_length + 1):
             for n in range(1, min(length, m) + 1):
-                t = strong[n][length]
+                t = seeds.get((length, n), strong[n][length])
                 yield length, n, stirling[n][length], t, factorials[n] * t
 
 

@@ -7,8 +7,6 @@ because the graph is simple, and identical pairs ("aa") contribute nothing.
 
 from __future__ import annotations
 
-import sys
-
 from .words import _BYTE_IDS, Word, _Frozen, letters_text
 
 
@@ -54,13 +52,12 @@ def build_graph(word: Word) -> Digraph:
     the self-loops are dropped here, so the graph is built by
     `Digraph._trusted`, without `Digraph(...)`'s checks.
     """
-    letters = word._bytes
-    if letters is None:
-        letters = word.letters
+    letters = word._bytes or word.letters
+    if type(letters) is bytes and word.alphabet_size <= 2 * _GROUP:
+        pairs = _byte_pairs(letters, word.alphabet_size)
+    else:
         # Collapse repeats in C first, so self-loops are dropped once per distinct pair.
         pairs = set(zip(letters, letters[1:]))
-    else:
-        pairs = _byte_pairs(letters, word.alphabet_size)
     edges = frozenset(pair for pair in pairs if pair[0] != pair[1])
     return Digraph._trusted(frozenset(range(word.alphabet_size)), edges)
 
@@ -70,26 +67,16 @@ _GROUP = 15
 
 
 def _byte_pairs(letters: bytes, alphabet_size: int):
-    """The distinct adjacent pairs of a byte word, found in C.
+    """The distinct adjacent pairs of a byte word of at most 30 symbols, found in C.
 
-    Up to 30 symbols, in groups of 15: for each pair of groups, `_group_codes`
-    writes each first letter from one group as its index plus one in a high
-    nibble, each second letter from the other in a low nibble, and 0 for the
-    rest, so OR-ing the two integers gives one byte per adjacent pair.  Two
+    In groups of 15: for each pair of groups, `_group_codes` writes each
+    first letter from one group as its index plus one in a high nibble, each
+    second letter from the other in a low nibble, and 0 for the rest, so
+    OR-ing the two integers gives one byte per adjacent pair.  Two
     `translate` calls list the bytes present, and those with both nibbles set
     are pairs: at most 4 passes, each in C.  The passes grow as the square
-    of the groups, so past 30 symbols each pair is one 16-bit lane of two
-    interleaved copies, its first letter in the lane's high byte: one set of
-    lanes collapses the repeats, and each lane reads 256 * first + second in
-    either native byte order.
+    of the groups, so larger alphabets take `build_graph`'s `zip`.
     """
-    if alphabet_size > 2 * _GROUP:
-        high = 1 if sys.byteorder == "little" else 0
-        lanes = bytearray(2 * len(letters) - 2)
-        lanes[high::2] = letters[:-1]
-        lanes[1 - high :: 2] = letters[1:]
-        yield from (divmod(lane, 256) for lane in set(memoryview(lanes).cast("H")))
-        return
     starts = range(0, alphabet_size, _GROUP)
     firsts, seconds = letters[:-1], letters[1:]
     heads = {g: _group_codes(firsts, g, alphabet_size, 16) for g in starts}

@@ -79,16 +79,16 @@ def _paper_recurrence(max_length: int, max_alphabet: int, table: CountTable) -> 
 
 
 def _verify_recurrence(
-    length: int, max_alphabet: int, table: CountTable, recurrence: list[list[int]]
+    length: int, max_alphabet: int, scan: dict, recurrence: list[list[int]]
 ) -> Check:
-    """The recurrence, the table's transfer scan and brute force: three
-    derivations that share no code."""
+    """The recurrence, the table's transfer scan (`scan` maps (l, n) to the
+    table's T(l, n)) and brute force: three derivations that share no code."""
     for n in range(1, min(length, max_alphabet) + 1):
         label = f"check=recurrence l={length} n={n}"
         enumerated = brute_force_strong_count(length, n, cap=None)
-        expected, scan = recurrence[n][length], table.strong_partition_count(length, n)
-        text = f"{label} recurrence={expected} scan={scan} enumerated={enumerated}"
-        yield text, expected == scan == enumerated
+        expected, scanned = recurrence[n][length], scan[length, n]
+        text = f"{label} recurrence={expected} scan={scanned} enumerated={enumerated}"
+        yield text, expected == scanned == enumerated
 
 
 def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
@@ -100,7 +100,7 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
 
 
 def _verify_words(
-    length: int, max_alphabet: int, table: CountTable, known: list[dict[int, int]]
+    length: int, max_alphabet: int, table: CountTable, scan: dict, known: list[dict[int, int]]
 ) -> Check:
     """Per-word structural checks plus histogram totals for one length.
 
@@ -144,7 +144,7 @@ def _verify_words(
         words += total
         if total != stirling:
             yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", False
-        strong_bucket, expected = histogram.get(1, 0), table.strong_partition_count(length, n)
+        strong_bucket, expected = histogram.get(1, 0), scan[length, n]
         if strong_bucket != expected:
             text = f"check=histogram l={length} n={n} strong={strong_bucket} scan={expected}"
             yield text, False
@@ -162,8 +162,9 @@ def run_verification(
 
     Raises `CapExceededError`, before any work, when the words of
     `max_length` are more canonical words than `cap`.  `table` supplies the
-    Stirling numbers and the transfer scan's counts; passing a pre-seeded
-    table is how the harness's own failure path is tested.
+    Stirling numbers and the transfer scan's counts, read once for every
+    cell the run checks; passing a pre-seeded table is how the harness's own
+    failure path is tested.
     """
     if max_length < 2:
         raise ValueError("max length must be at least 2")
@@ -174,17 +175,20 @@ def run_verification(
     _check_cap(max_length, cap)
     if table is None:
         table = CountTable()
-    recurrence = _paper_recurrence(max_length, min(max_length, max_alphabet), table)
+    m = min(max_length, max_alphabet)
+    recurrence = _paper_recurrence(max_length, m, table)
+    # T(l, n) for every checked cell, seeds included, from one transfer scan.
+    scan = {(l, n): t for l, n, _, t, _ in table.rows(max_length, m)}
     report = VerificationReport()
     # One graph table per alphabet size for the whole run, keyed by the edge
     # set as a bit mask: graphs over range(n) are determined by their edges.
-    known: list[dict[int, int]] = [{} for _ in range(min(max_length, max_alphabet) + 1)]
+    known: list[dict[int, int]] = [{} for _ in range(m + 1)]
     for length in range(1, max_length + 1):
         # Generators: a check after the first failure never runs.
         checks = (
-            _verify_recurrence(length, max_alphabet, table, recurrence),
+            _verify_recurrence(length, max_alphabet, scan, recurrence),
             _verify_family(length, max_alphabet, table),
-            _verify_words(length, max_alphabet, table, known),
+            _verify_words(length, max_alphabet, table, scan, known),
         )
         for check in checks:
             for text, passed in check:

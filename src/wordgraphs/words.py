@@ -10,20 +10,11 @@ Canonical words are the set partitions of the positions, symbol i naming
 the block of positions where it occurs, so canonical enumeration is
 partition enumeration.
 
-A word built from `bytes`, one byte per letter, keeps only those bytes and
-builds its letter tuple on each read of `letters`.  `parse_word` builds that
-form whenever the alphabet fits in a byte, and `split_points` and
-`build_graph` then scan the bytes with C builtins: `split_points` calls
-`find` and `rfind` once per symbol, and `build_graph` finds the distinct
-adjacent pairs of up to 30 symbols in at most 4 integer OR passes, and of
-more in one set of 16-bit pair codes.  Words built from a tuple keep the
-tuple scans, which cost less on tiny words.
-
-The canonical words that `verify` enumerates are tuple words whose ids are
-dense by construction, so `iter_canonical_words` builds them through
-`Word._trusted`, without the constructor's checks; the graphs `build_graph`
-makes of words are built the same way.  `Word(...)`, `Digraph(...)`,
-`parse_word` and `from_json` check everything they are given.
+A word is held as a tuple of ids or, when built from `bytes`, as one byte
+per letter; both forms are one value (see `Word`).  `Word(...)` and
+`parse_word` check everything they are given; `Word._trusted` skips the
+checks and is only for words dense by construction, such as those
+`iter_canonical_words` yields.
 """
 
 from __future__ import annotations

@@ -349,8 +349,8 @@ class TestCountTable:
         table = CountTable()
         assert table.strong_partition_count(6, 3) == strong_partition_count(6, 3)
         monkeypatch.setattr("wordgraphs.counting._transfer_scan", no_scan)
-        # A filled cell takes its seed at once; one past the bounds waits for
-        # the refill that reaches it.
+        # Seeding only records the value, for a cell inside the table's
+        # bounds and for one past them.
         table.seed_strong_count(3000, 1500, 1)
         table.seed_strong_count(5, 3, 8)
         assert table.strong_partition_count(5, 3) == 8
@@ -368,6 +368,17 @@ class TestCountTable:
         report = run_verification(6, table=table)
         assert report.failures == [report.lines[-1]]
         assert report.failures[0].startswith("check=recurrence l=5 n=3 ")
+
+    def test_seeds_never_enter_the_scan(self):
+        table = CountTable()
+        table.seed_strong_count(5, 3, 8)
+        table.seed_strong_count(6, 3, 11)
+        # Up to (30, 10), down to (40, 2), which leaves both seeds out, and back.
+        for bounds in [(30, 10), (40, 2), (30, 10)]:
+            assert table.strong_partition_count(*bounds) == strong_partition_count(*bounds)
+            assert table._bounds == bounds
+            assert table._strong == counting._transfer_scan(*bounds)[1]
+        assert table.strong_partition_count(6, 3) == 11
 
     def test_rows_shape(self):
         table = CountTable()

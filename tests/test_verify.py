@@ -1,5 +1,6 @@
 import pytest
 
+import wordgraphs.counting
 import wordgraphs.verify
 from wordgraphs.counting import CapExceededError, CountTable
 from wordgraphs.graphs import Digraph
@@ -136,6 +137,21 @@ def test_graph_table_does_not_outlive_its_run(monkeypatch):
     assert not report.passed
     assert report.failures == [report.lines[-1]]
     assert report.failures[0].startswith("check=equivalence l=3 word=aba ")
+
+
+def test_run_reads_one_transfer_scan(monkeypatch):
+    # Every cell the run checks, seeds included, comes from one snapshot of
+    # the table, so the run never refills it cell by cell.
+    scans = []
+    real = wordgraphs.counting._transfer_scan
+
+    def spy(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("wordgraphs.counting._transfer_scan", spy)
+    assert run_verification(10).passed
+    assert scans == [(10, 10)]
 
 
 def test_deterministic_output():
