@@ -201,6 +201,12 @@ VERIFY_EXPECTED = {
         109,
         "ff5b1eea83becf76171f576056e7e011edad46d2b89bbc75110ac5b7ab9b00c4",
     ),
+    # Words of at most 3 symbols only: the canonical walk bounded by the alphabet.
+    ("--max-length", "9", "--max-alphabet", "3"): (
+        0,
+        67,
+        "6cf6c54074b5619d5580ce74b679ab10b01ff7bfe8ac917fc20eed23232fc94f",
+    ),
     # Bell(7) = 877: the largest run this cap admits.
     ("--max-length", "7", "--cap", "877"): (
         0,
