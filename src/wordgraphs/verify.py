@@ -10,6 +10,8 @@ decided once, before any work: a run checks every length it is asked for,
 or raises `CapExceededError`.  Each distinct word graph is built and
 checked once per run, with its exact minimum cut, at the first word that has
 it; each word is factored once and checked against its graph's components.
+A word finds its graph by a key read off the canonical walk's prefixes, not
+from its own letters (see `_keyed_words`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .connectivity import bridges, edge_connectivity, scc_decomposition
 from .counting import DEFAULT_CAP, CountTable, _check_cap, brute_force_strong_count
 from .factorization import split_points
 from .graphs import build_graph
-from .words import iter_canonical_words
+from .words import Word, _canonical_prefixes
 
 
 class VerificationReport:
@@ -99,29 +101,60 @@ def _verify_family(length: int, max_alphabet: int, table: CountTable) -> Check:
         yield text, expected == actual
 
 
+def _keyed_words(length: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each canonical word of `length` over exactly n symbols, as its letters,
+    with its graph's key: the edge set as a bit mask, bit u * n + v for the
+    edge (u, v).  Graphs over range(n) are determined by their edges.
+
+    The walk hands out each prefix once with the first position it changed;
+    masks[j], the key of the prefix's first j + 1 letters, is refreshed from
+    there.  A word's key is then its prefix's mask, the seam bit from the
+    prefix's last letter to the tail's first, and the tail's own bit.
+    """
+    if length == 1:
+        yield (0,), 0
+        return
+    # bit[u][v]: the edge (u, v)'s bit, 0 for a repeated letter, which adds no edge.
+    bit = [[0 if u == v else 1 << (u * n + v) for v in range(n)] for u in range(n)]
+    m = length - 2
+    masks = [0] * max(m, 1)
+    for prefix, changed, tails in _canonical_prefixes(length, n):
+        for j in range(changed or 1, m):
+            masks[j] = masks[j - 1] | bit[prefix[j - 1]][prefix[j]]
+        # At length 2 the prefix is empty and every tail starts with 0: no seam.
+        mask, seam = (masks[m - 1], bit[prefix[-1]]) if m else (0, bit[0])
+        for a, bs in tails:
+            head, key, row = prefix + (a,), mask | seam[a], bit[a]
+            for b in bs:
+                yield head + (b,), key | row[b]
+
+
 def _verify_words(
     length: int, max_alphabet: int, table: CountTable, scan: dict, known: list[dict[int, int]]
 ) -> Check:
     """Per-word structural checks plus histogram totals for one length.
 
-    `known[n]` maps each graph the run has analysed to its strong component
-    count; every graph at length l comes back at l + 1.  A graph's own
-    relations are checked at its first word, every word's factor count
-    against its graph's components, and a failure names the first word.
+    Alphabet sizes are checked in increasing order, and the words of each
+    in lexicographic order, so a failure names the first word in that
+    order.  `known[n]` maps each graph key (see `_keyed_words`) the run has
+    analysed to its strong component count; every graph at length l comes
+    back at l + 1.  A graph's own relations are checked at its first word,
+    and every word is factored and its factor count checked against its
+    graph's components.
     """
     label = f"check=equivalence l={length}"
+    word = Word._trusted
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
-        histogram: dict[int, int] = {}
+        tally = [0] * (n + 1)  # tally[c]: words whose graph has c strong components
         components_of = known[n]
-        for word in iter_canonical_words(length, n):
-            letters = word.letters
-            key = sum({1 << (u * n + v) for u, v in zip(letters, letters[1:]) if u != v})
+        for letters, key in _keyed_words(length, n):
+            w = word(letters, None, n)
             # Two derivations: the graph's components, the word's factors.
-            k = len(split_points(word)) + 1
+            k = len(split_points(w)) + 1
             components = components_of.get(key)
             if components is None:
-                graph = build_graph(word)
+                graph = build_graph(w)
                 # The exact minimum cut: 0 when weakly disconnected, None for one vertex.
                 # No bound from strongness, which this cut is checked against.
                 cut = edge_connectivity(graph)
@@ -129,22 +162,22 @@ def _verify_words(
                 bridge_count = len(bridges(graph))
                 strong, two_edge_connected = components == 1, cut is None or cut >= 2
                 if cut == 0:
-                    yield f"{label} word={word.text()} detail=weakly-disconnected", False
+                    yield f"{label} word={w.text()} detail=weakly-disconnected", False
                 if not (strong == two_edge_connected == (k == 1)):
                     detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
-                    yield f"{label} word={word.text()} detail={detail}", False
+                    yield f"{label} word={w.text()} detail={detail}", False
                 if bridge_count != k - 1:
                     detail = f"bridges:{bridge_count},factors:{k}"
-                    yield f"{label} word={word.text()} detail={detail}", False
+                    yield f"{label} word={w.text()} detail={detail}", False
             if components != k:
                 detail = f"components:{components},factors:{k}"
-                yield f"{label} word={word.text()} detail={detail}", False
-            histogram[components] = histogram.get(components, 0) + 1
-        total, stirling = sum(histogram.values()), table.stirling2(length, n)
+                yield f"{label} word={w.text()} detail={detail}", False
+            tally[components] += 1
+        total, stirling = sum(tally), table.stirling2(length, n)
         words += total
         if total != stirling:
             yield f"check=histogram l={length} n={n} total={total} stirling={stirling}", False
-        strong_bucket, expected = histogram.get(1, 0), scan[length, n]
+        strong_bucket, expected = tally[1], scan[length, n]
         if strong_bucket != expected:
             text = f"check=histogram l={length} n={n} strong={strong_bucket} scan={expected}"
             yield text, False

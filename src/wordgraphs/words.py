@@ -14,7 +14,10 @@ A word is held as a tuple of ids or, when built from `bytes`, as one byte
 per letter; both forms are one value (see `Word`).  `Word(...)` and
 `parse_word` check everything they are given; `Word._trusted` skips the
 checks and is only for words dense by construction, such as those
-`iter_canonical_words` yields.
+`iter_canonical_words` yields.  The canonical walk itself,
+`_canonical_prefixes`, hands out each prefix of length - 2 letters once with
+the tails that complete it, so a consumer such as `verify` can derive what
+it needs of a word from its prefix's.
 """
 
 from __future__ import annotations
@@ -231,15 +234,10 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
 
     Words appear in lexicographic order on their id sequences; the total
     equals the Stirling number of the second kind for (length, alphabet_size).
-    A length below the alphabet size yields nothing.
-
-    A successor walk without recursion (restricted growth strings, in the
-    manner of Knuth's Algorithm H) steps through the prefixes of length - 2
-    letters, and two nested loops append every last pair that brings the
-    prefix's symbols to exactly `alphabet_size`.  Each prefix is built once
-    for all the words that share it, and the walk holds a constant number of
-    length-sized lists and tuples.  The words are dense by construction, so
-    they are built by `Word._trusted`, without `Word(...)`'s checks.
+    A length below the alphabet size yields nothing.  The words come from
+    `_canonical_prefixes`, each prefix built once for the words that share
+    it, and are dense by construction, so they are built by `Word._trusted`,
+    without `Word(...)`'s checks.
     """
     if length < 1 or alphabet_size < 1:
         raise ValueError("length and alphabet size must be at least 1")
@@ -250,9 +248,34 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
     if length == 1:
         yield word((0,), None, 1)
         return
+    for prefix, _, tails in _canonical_prefixes(length, n):
+        for a, bs in tails:
+            head = prefix + (a,)
+            for b in bs:
+                yield word(head + (b,), None, n)
+
+
+def _canonical_prefixes(
+    length: int, n: int
+) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[int, range], ...]]]:
+    """The canonical words of `length` over exactly n symbols, grouped by
+    their first length - 2 letters: needs 2 <= length and n <= length.
+
+    Yields (prefix, changed, tails) in lexicographic order.  `changed` is the
+    first position where `prefix` differs from the previous group's (0 for
+    the first group), and the group's words are prefix + (a, b) for each
+    (a, bs) in `tails` and each b in the range `bs`, in that order.
+
+    A successor walk without recursion (restricted growth strings, in the
+    manner of Knuth's Algorithm H) steps through the prefixes, and holds a
+    constant number of length-sized lists and tuples.  A prefix leaves n - 2,
+    n - 1 or n symbols for its tails to complete, so there are at most three
+    tails, each of at most n ranges.
+    """
     m = length - 2
     letters = [0] * length
     used = [0] * length  # used[j]: symbols among letters[: j + 1]
+    tails_of: dict[int, tuple[tuple[int, range], ...]] = {}
     i, c, u = 0, 0, 1
     while True:
         if m:
@@ -264,14 +287,17 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
             prefix, u = tuple(letters[:m]), used[m - 1]
         else:
             prefix, u = (), 0
-        # The last two letters raise the u used symbols to exactly n; v counts
-        # the symbols used once a is appended.
-        for a in range(min(u + 1, n)):
-            v = u + (a == u)
-            if v + 1 >= n:
-                head = prefix + (a,)
-                for b in range(0 if v == n else n - 1, n):
-                    yield word(head + (b,), None, n)
+        tails = tails_of.get(u)
+        if tails is None:
+            # The last two letters raise the u used symbols to exactly n; v
+            # counts the symbols used once a is appended.
+            tails = []
+            for a in range(min(u + 1, n)):
+                v = u + (a == u)
+                if v + 1 >= n:
+                    tails.append((a, range(0 if v == n else n - 1, n)))
+            tails = tails_of[u] = tuple(tails)
+        yield prefix, i, tails
         # Raise the rightmost prefix letter that can grow and leave room for the rest.
         for i in range(m - 1, 0, -1):
             c = letters[i] + 1

@@ -3,9 +3,9 @@ import pytest
 import wordgraphs.counting
 import wordgraphs.verify
 from wordgraphs.counting import CapExceededError, CountTable
-from wordgraphs.graphs import Digraph
-from wordgraphs.verify import VerificationReport, run_verification
-from wordgraphs.words import Word
+from wordgraphs.graphs import Digraph, build_graph
+from wordgraphs.verify import VerificationReport, _keyed_words, run_verification
+from wordgraphs.words import Word, iter_canonical_words
 
 
 def test_small_run_passes():
@@ -107,6 +107,36 @@ def test_word_side_fault_on_a_cached_graph_is_caught(monkeypatch):
     failure = report.failures[0]
     assert "check=equivalence l=3" in failure
     assert "word=abb" in failure
+
+
+def test_first_failure_is_named_in_alphabet_then_word_order(monkeypatch):
+    # aabc (n = 3) precedes abab (n = 2) lexicographically, but alphabet
+    # sizes are checked in increasing order, so abab fails first.
+    real = wordgraphs.verify.split_points
+
+    def lying(word):
+        points = real(word)
+        return [1, *points] if word.text() in ("aabc", "abab") else points
+
+    monkeypatch.setattr("wordgraphs.verify.split_points", lying)
+    report = run_verification(4)
+    assert not report.passed
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("check=equivalence l=4 word=abab ")
+    assert report.lines[-1] == report.failures[0]
+
+
+def test_keys_are_the_graphs_edge_masks():
+    # Each key is read off the walk's prefixes; recompute it from the graph
+    # of the word that `iter_canonical_words` yields in the same place.
+    for length in range(1, 10):
+        for n in range(1, length + 1):
+            keyed = list(_keyed_words(length, n))
+            words = list(iter_canonical_words(length, n))
+            assert [letters for letters, _ in keyed] == [w.letters for w in words]
+            for (_, key), word in zip(keyed, words):
+                edges = build_graph(word).edges
+                assert key == sum(1 << (u * n + v) for u, v in edges), (word.text(), n)
 
 
 def inject_extra_bridge_on_aba(monkeypatch):
@@ -218,7 +248,9 @@ def test_recurrence_is_filled_to_the_requested_bounds(monkeypatch):
 
 def test_over_the_cap_is_refused_before_any_work(monkeypatch):
     calls = []
-    for name in ("brute_force_strong_count", "_paper_recurrence", "iter_canonical_words"):
+    # The canonical walk and the keys read from it, as well as the oracles.
+    walks = ("_canonical_prefixes", "_keyed_words")
+    for name in ("brute_force_strong_count", "_paper_recurrence", *walks):
         monkeypatch.setattr(
             f"wordgraphs.verify.{name}", lambda *args, name=name, **kw: calls.append(name)
         )

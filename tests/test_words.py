@@ -258,3 +258,17 @@ def test_enumeration_keeps_one_word_of_memory():
     assert first.letters == (0,) * 2999 + (1,)
     assert second.letters == (0,) * 2998 + (1, 0)
     assert peak < 1_000_000
+
+
+def test_draining_a_one_word_walk_keeps_one_word_of_memory():
+    # Each prefix's tails are ranges, and the walk keeps no state per
+    # position beyond its two length-sized lists.
+    for n in (1500, 1):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_canonical_words(1500, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1
+        assert peak < 1_000_000, n
