@@ -143,18 +143,18 @@ def _verify_words(
     graph's components.
     """
     label = f"check=equivalence l={length}"
-    word = Word._trusted
+    trusted = Word._trusted
     words = 0
     for n in range(1, min(length, max_alphabet) + 1):
         tally = [0] * (n + 1)  # tally[c]: words whose graph has c strong components
         components_of = known[n]
         for letters, key in _keyed_words(length, n):
-            w = word(letters, None, n)
+            word = trusted(letters, None, n)
             # Two derivations: the graph's components, the word's factors.
-            k = len(split_points(w)) + 1
+            k = len(split_points(word)) + 1
             components = components_of.get(key)
             if components is None:
-                graph = build_graph(w)
+                graph = build_graph(word)
                 # The exact minimum cut: 0 when weakly disconnected, None for one vertex.
                 # No bound from strongness, which this cut is checked against.
                 cut = edge_connectivity(graph)
@@ -162,16 +162,16 @@ def _verify_words(
                 bridge_count = len(bridges(graph))
                 strong, two_edge_connected = components == 1, cut is None or cut >= 2
                 if cut == 0:
-                    yield f"{label} word={w.text()} detail=weakly-disconnected", False
+                    yield f"{label} word={word.text()} detail=weakly-disconnected", False
                 if not (strong == two_edge_connected == (k == 1)):
                     detail = f"strong:{strong},two-edge:{two_edge_connected},factors:{k}"
-                    yield f"{label} word={w.text()} detail={detail}", False
+                    yield f"{label} word={word.text()} detail={detail}", False
                 if bridge_count != k - 1:
                     detail = f"bridges:{bridge_count},factors:{k}"
-                    yield f"{label} word={w.text()} detail={detail}", False
+                    yield f"{label} word={word.text()} detail={detail}", False
             if components != k:
                 detail = f"components:{components},factors:{k}"
-                yield f"{label} word={w.text()} detail={detail}", False
+                yield f"{label} word={word.text()} detail={detail}", False
             tally[components] += 1
         total, stirling = sum(tally), table.stirling2(length, n)
         words += total

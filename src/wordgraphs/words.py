@@ -14,10 +14,9 @@ A word is held as a tuple of ids or, when built from `bytes`, as one byte
 per letter; both forms are one value (see `Word`).  `Word(...)` and
 `parse_word` check everything they are given; `Word._trusted` skips the
 checks and is only for words dense by construction, such as those
-`iter_canonical_words` yields.  The canonical walk itself,
-`_canonical_prefixes`, hands out each prefix of length - 2 letters once with
-the tails that complete it, so a consumer such as `verify` can derive what
-it needs of a word from its prefix's.
+`iter_canonical_words` yields.  Its walk, `_canonical_prefixes`, hands out
+each prefix once with the tails that complete it, for consumers such as
+`verify` that derive a word's facts from its prefix's.
 """
 
 from __future__ import annotations
@@ -255,9 +254,7 @@ def iter_canonical_words(length: int, alphabet_size: int) -> Iterator[Word]:
                 yield word(head + (b,), None, n)
 
 
-def _canonical_prefixes(
-    length: int, n: int
-) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[int, range], ...]]]:
+def _canonical_prefixes(length: int, n: int) -> Iterator[tuple[tuple[int, ...], int, tuple]]:
     """The canonical words of `length` over exactly n symbols, grouped by
     their first length - 2 letters: needs 2 <= length and n <= length.
 
@@ -275,7 +272,7 @@ def _canonical_prefixes(
     m = length - 2
     letters = [0] * length
     used = [0] * length  # used[j]: symbols among letters[: j + 1]
-    tails_of: dict[int, tuple[tuple[int, range], ...]] = {}
+    tails_of: dict[int, tuple] = {}  # by the prefix's used symbols
     i, c, u = 0, 0, 1
     while True:
         if m:

@@ -246,29 +246,27 @@ def test_enumeration_matches_a_filtered_product():
 
 
 def test_enumeration_keeps_one_word_of_memory():
-    # The walk holds a constant number of length-sized lists and tuples; a
-    # stack of prefixes would grow as the square of the length.
-    tracemalloc.start()
-    try:
+    # The walk holds a constant number of length-sized lists and tuples.  A
+    # stack of prefixes, or a value per prefix position such as an edge mask,
+    # would grow at least as the square of the length.
+    def peak_of(walk):
+        tracemalloc.start()
+        try:
+            values = walk()
+            return values, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def first_two():
         words = iter_canonical_words(3000, 2)
-        first, second = next(words), next(words)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return next(words), next(words)
+
+    (first, second), peak = peak_of(first_two)
     assert first.letters == (0,) * 2999 + (1,)
     assert second.letters == (0,) * 2998 + (1, 0)
     assert peak < 1_000_000
-
-
-def test_draining_a_one_word_walk_keeps_one_word_of_memory():
-    # Each prefix's tails are ranges, and the walk keeps no state per
-    # position beyond its two length-sized lists.
+    # Drained: the one word of 1,500 distinct symbols, and the one of 1,500 a's.
     for n in (1500, 1):
-        tracemalloc.start()
-        try:
-            count = sum(1 for _ in iter_canonical_words(1500, n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        count, peak = peak_of(lambda: sum(1 for _ in iter_canonical_words(1500, n)))
         assert count == 1
         assert peak < 1_000_000, n
