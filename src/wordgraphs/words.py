@@ -266,8 +266,8 @@ def _canonical_prefixes(length: int, n: int) -> Iterator[tuple[tuple[int, ...], 
     A successor walk without recursion (restricted growth strings, in the
     manner of Knuth's Algorithm H) steps through the prefixes, and holds a
     constant number of length-sized lists and tuples.  A prefix leaves n - 2,
-    n - 1 or n symbols for its tails to complete, so there are at most three
-    tails, each of at most n ranges.
+    n - 1 or n symbols for its tails to complete, so the walk keeps at most
+    three tails, each of at most n pairs.
     """
     m = length - 2
     letters = [0] * length
